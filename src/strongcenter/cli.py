@@ -32,7 +32,11 @@ from .pointfile import (
     parse_number,
     parse_point_file,
 )
-from .polytope import compute_strong_centerpoint, verify_strong_centerpoint
+from .polytope import (
+    _Projector,
+    compute_strong_centerpoint,
+    verify_strong_centerpoint,
+)
 from .report import Report, input_digest
 from .setsystem import (
     brute_force_strong_centerpoints,
@@ -79,14 +83,13 @@ def _elapsed_ms(start: float) -> int:
 
 
 def _cmd_compute(args) -> int:
+    start = time.monotonic()
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     family = _load_family(args.family, point_file.dim)
-    start = time.monotonic()
-    certificate = compute_strong_centerpoint(point_file.points, family)
-    verdict = verify_strong_centerpoint(
-        point_file.points, family, certificate.point
-    )
+    projector = _Projector(point_file.points, family)
+    certificate = compute_strong_centerpoint(projector, family)
+    verdict = verify_strong_centerpoint(projector, family, certificate.point)
     report = Report("compute", input_digest(data))
     report.add("family", args.family)
     report.add("d", point_file.dim)
@@ -94,10 +97,9 @@ def _cmd_compute(args) -> int:
     report.add("k", family.k)
     report.add("rank", certificate.rank)
     report.add_raw("halfspaces:")
-    for halfspace in certificate.halfspaces:
-        contains = sum(
-            1 for p in point_file.points if halfspace.contains(p)
-        )
+    for halfspace, contains in zip(
+        certificate.halfspaces, certificate.contains
+    ):
         report.add_raw(
             f"- orientation: {_vector_text(halfspace.orientation.direction)}",
             indent=1,
@@ -116,6 +118,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    start = time.monotonic()
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     family = _load_family(args.family, point_file.dim)
@@ -126,7 +129,6 @@ def _cmd_verify(args) -> int:
             f"{point_file.dim}"
         )
     candidate = Point(tuple(parse_number(token) for token in tokens))
-    start = time.monotonic()
     verdict = verify_strong_centerpoint(point_file.points, family, candidate)
     report = Report("verify", input_digest(data))
     report.add("family", args.family)
@@ -146,9 +148,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_abstract(args) -> int:
+    start = time.monotonic()
     data = _read_bytes(args.system_file)
     system = parse_set_system(data.decode("utf-8"))
-    start = time.monotonic()
     report = Report("abstract", input_digest(data))
     report.add("n", system.n)
     report.add("k", system.k)

@@ -13,12 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 from .errors import DimensionMismatchError
 
 Number = Union[int, float]
 
 #: Unit vectors closer than this (Euclidean distance) count as one direction.
 DIRECTION_TOL = 1e-9
+
+_PARTITION_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
 def _check_number(value, what: str) -> None:
@@ -264,15 +268,13 @@ class Halfspace:
         return project(point, self.orientation) <= self.offset
 
 
-_SMALL_CUTOFF = 32
-
-
 def kth_smallest(values: Sequence[Number], rank: int) -> Number:
     """The rank-th smallest entry of ``values`` (1-based, with multiplicity).
 
-    Median-of-three quickselect with three-way partitioning: expected linear
-    time, and a sort fallback caps pathological pivot runs at O(n log n).
-    The input sequence is not modified.
+    An int64 or float64 ndarray goes through ``np.partition`` and comes back
+    as a Python int or float; anything else (lists, object-dtype big ints)
+    is sorted. Among equal floats the ndarray path may return either of
+    ``-0.0`` and ``0.0``. The input is not modified.
     """
     n = len(values)
     if n == 0:
@@ -281,40 +283,9 @@ def kth_smallest(values: Sequence[Number], rank: int) -> Number:
         raise TypeError(f"rank must be an int, got {rank!r}")
     if not 1 <= rank <= n:
         raise ValueError(f"rank {rank} out of range for {n} values")
-    data = list(values)
-    target = rank - 1
-    lo, hi = 0, n - 1
-    rounds = 2 * n.bit_length()
-    while hi - lo >= _SMALL_CUTOFF and rounds > 0:
-        rounds -= 1
-        mid = (lo + hi) // 2
-        a, b, c = data[lo], data[mid], data[hi]
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-        if a > b:
-            a, b = b, a
-        pivot = b
-        lt, i, gt = lo, lo, hi
-        while i <= gt:
-            v = data[i]
-            if v < pivot:
-                data[lt], data[i] = v, data[lt]
-                lt += 1
-                i += 1
-            elif v > pivot:
-                data[gt], data[i] = v, data[gt]
-                gt -= 1
-            else:
-                i += 1
-        if target < lt:
-            hi = lt - 1
-        elif target > gt:
-            lo = gt + 1
-        else:
-            return pivot
-    return sorted(data[lo : hi + 1])[target - lo]
+    if isinstance(values, np.ndarray) and values.dtype in _PARTITION_DTYPES:
+        return np.partition(values, rank - 1)[rank - 1].item()
+    return sorted(values)[rank - 1]
 
 
 def heavy_threshold_exceeded(count: int, n: int, k: int) -> bool:

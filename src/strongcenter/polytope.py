@@ -11,8 +11,9 @@ same counts and must never be merged.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +32,9 @@ BRUTE_FORCE_DEFAULT_BUDGET = 20_000_000
 
 # Dot products of int64 columns stay exact below this product bound.
 _INT64_SAFE = 2**62
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Integers of smaller magnitude convert to float64 exactly.
+_FLOAT64_EXACT = 2**53
 
 
 def selection_rank(n: int, k: int) -> int:
@@ -73,6 +77,7 @@ class CenterpointCertificate:
     chosen_index:   the lowest region member; the strong centerpoint.
     rank:           the 1-based order statistic defining each offset.
     point:          the chosen point itself.
+    contains:       per halfspace, how many points it contains.
     """
 
     halfspaces: tuple
@@ -80,16 +85,18 @@ class CenterpointCertificate:
     chosen_index: int
     rank: int
     point: Point
+    contains: tuple
 
 
 class _Projector:
     """Per-orientation projections of one point set, vectorized.
 
     Columns stay int64 (exact) for integer instances inside overflow-safe
-    bounds, drop to object dtype for oversized integers, and use float64
-    otherwise. Accumulation is elementwise per axis so results are bitwise
-    identical to :func:`project`, keeping certificate offsets and verifier
-    counts agreed on exact ties.
+    bounds and use float64 for float instances. Object dtype takes the
+    rest: oversized integers, and integers mixed with floats wherever
+    float64 would round a sum that :func:`project` keeps exact.
+    Accumulation is elementwise per axis so results equal :func:`project`,
+    keeping certificate offsets and verifier counts agreed on exact ties.
     """
 
     def __init__(self, points: Sequence[Point], family: OrientationFamily):
@@ -104,20 +111,16 @@ class _Projector:
                     f"points[{idx}] has dimension {p.dim}, family has {dim}"
                 )
         self.family = family
+        self.points = points
         self.n = len(points)
         cols = [[p.coords[j] for p in points] for j in range(dim)]
+        dir_bound = max(
+            (abs(c) for o in family if o.is_integral for c in o.direction),
+            default=0,
+        )
         arrays = None
         if all(p.is_integral for p in points):
             coord_bound = max(max(abs(c) for c in col) for col in cols)
-            dir_bound = max(
-                (
-                    abs(c)
-                    for o in family
-                    if o.is_integral
-                    for c in o.direction
-                ),
-                default=0,
-            )
             if (coord_bound + 1) * (dir_bound + 1) * dim < _INT64_SAFE:
                 arrays = [np.asarray(col, dtype=np.int64) for col in cols]
         else:
@@ -125,6 +128,15 @@ class _Projector:
                 arrays = [np.asarray(col, dtype=np.float64) for col in cols]
             except OverflowError:
                 arrays = None
+            if arrays is not None and dir_bound:
+                # project() sums integer terms exactly; float64 agrees only
+                # while every such partial sum stays below 2**53
+                coord_bound = max(float(np.abs(a).max()) for a in arrays)
+                bound = (coord_bound + 1) * (dir_bound + 1) * dim
+                if bound >= _FLOAT64_EXACT and any(
+                    isinstance(c, int) for col in cols for c in col
+                ):
+                    arrays = None
         if arrays is None:
             arrays = [np.asarray(col, dtype=object) for col in cols]
         self._cols = arrays
@@ -141,37 +153,63 @@ class _Projector:
         return arr
 
     def count_below(self, index: int, value) -> int:
+        """How many projections along orientation ``index`` lie strictly
+        below ``value``, compared exactly whatever the column dtype."""
         arr = self.along(index)
-        try:
-            return int(np.count_nonzero(arr < value))
-        except (OverflowError, TypeError):
-            # value does not fit the column dtype; compare in Python
-            return sum(1 for v in arr.tolist() if v < value)
+        strict = True
+        if arr.dtype == np.int64:
+            if isinstance(value, float) and math.isfinite(value):
+                value = math.ceil(value)  # x < v  <=>  x < ceil(v), x integral
+            if value > _INT64_MAX:
+                return self.n
+            if value < _INT64_MIN:
+                return 0
+        elif arr.dtype == np.float64 and isinstance(value, int):
+            try:
+                rounded = float(value)
+            except OverflowError:
+                return self.n if value > 0 else 0
+            # no float lies strictly between an int and its nearest float
+            strict = rounded >= value
+            value = rounded
+        below = arr < value if strict else arr <= value
+        return int(np.count_nonzero(below))
 
-    def members(self, offsets) -> list[int]:
+    def region(self, offsets) -> tuple[list[int], list[int]]:
+        """Indices inside every halfspace ``along(i) <= offsets[i]``, and
+        how many points each halfspace contains."""
         inside = np.ones(self.n, dtype=bool)
+        contains = []
         for index, offset in enumerate(offsets):
-            inside &= np.asarray(self.along(index) <= offset, dtype=bool)
-        return [int(j) for j in np.flatnonzero(inside)]
+            within = np.asarray(self.along(index) <= offset, dtype=bool)
+            contains.append(int(np.count_nonzero(within)))
+            inside &= within
+        return np.flatnonzero(inside).tolist(), contains
+
+
+def _projector_for(points, family: OrientationFamily) -> _Projector:
+    if isinstance(points, _Projector):
+        if points.family != family:
+            raise ValueError("projector was built for another family")
+        return points
+    return _Projector(points, family)
 
 
 def compute_strong_centerpoint(
-    points: Sequence[Point], family: OrientationFamily
+    points: Union[Sequence[Point], _Projector], family: OrientationFamily
 ) -> CenterpointCertificate:
     """Construct a strong centerpoint of ``points`` for ``family``.
 
     Cuts each orientation at the rank given by :func:`selection_rank` and
     returns the lowest-index point inside all k halfspaces, which is
-    guaranteed to exist. Expected O(k * n) time.
+    guaranteed to exist. Expected O(k * n) time. ``points`` may be a
+    projector already built for ``family``, so that a caller which also
+    verifies projects the points once.
     """
-    projector = _Projector(points, family)
-    n = len(points)
-    rank = selection_rank(n, family.k)
-    offsets = [
-        kth_smallest(projector.along(i).tolist(), rank)
-        for i in range(family.k)
-    ]
-    members = projector.members(offsets)
+    projector = _projector_for(points, family)
+    rank = selection_rank(projector.n, family.k)
+    offsets = [kth_smallest(projector.along(i), rank) for i in range(family.k)]
+    members, contains = projector.region(offsets)
     assert members, "halfspace intersection missed every point"
     halfspaces = tuple(
         Halfspace(family[i], offsets[i]) for i in range(family.k)
@@ -182,7 +220,8 @@ def compute_strong_centerpoint(
         region_members=tuple(members),
         chosen_index=chosen,
         rank=rank,
-        point=points[chosen],
+        point=projector.points[chosen],
+        contains=tuple(contains),
     )
 
 
@@ -192,17 +231,20 @@ def core_region(points: Sequence[Point], family: OrientationFamily) -> list[int]
 
 
 def verify_strong_centerpoint(
-    points: Sequence[Point], family: OrientationFamily, candidate: Point
+    points: Union[Sequence[Point], _Projector],
+    family: OrientationFamily,
+    candidate: Point,
 ) -> Verdict:
     """Exact check that ``candidate`` is a strong centerpoint of ``points``.
 
     Equivalent formulation used here: no orientation may have strictly more
     than (1 - 1/k) * n points projecting strictly below the candidate,
     because the worst avoiding polytope along a direction is the open
-    halfspace just under the candidate. O(k * n), no tolerances.
+    halfspace just under the candidate. O(k * n), no tolerances. ``points``
+    may be a projector already built for ``family``.
     """
-    projector = _Projector(points, family)
-    n = len(points)
+    projector = _projector_for(points, family)
+    n = projector.n
     k = family.k
     for i in range(k):
         count = projector.count_below(i, project(candidate, family[i]))

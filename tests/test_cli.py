@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 
@@ -10,7 +11,9 @@ from strongcenter import (
     render_plot,
     tightness_instance,
 )
+from strongcenter import cli, polytope
 from strongcenter.cli import main
+from strongcenter.families import named_family
 from strongcenter.pointfile import (
     format_number,
     format_points,
@@ -386,3 +389,79 @@ def test_cli_size_guard_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "abstract", path, "--oracle")
     assert code == 0
     assert "oracle: agree" in out
+
+
+CONTAINS_FIXTURES = [
+    "2 4\n0 0\n1 0\n2 0\n3 0\n",
+    "2 8\n" + "".join(f"{i % 3} {i * 7 % 5}\n" for i in range(8)),
+    "2 5\n0.50 -0.0\n1.25 0\n-3 2.5\n0.0 0.0\n7 -1e3\n",
+    "2 4\n9007199254740995 0\n9007199254740995 1\n9007199254740995 2\n0.5 0\n",
+    "3 4\n1000000000000000000000000000000 0 1\n0 2 3\n-5 -5 -5\n1 1 1\n",
+]
+
+
+@pytest.mark.parametrize("text", CONTAINS_FIXTURES)
+@pytest.mark.parametrize("family", ["axis-box", "skyline", "orthant"])
+def test_cli_contains_counts_match_per_point_loop(
+    tmp_path, capsys, text, family
+):
+    path = write(tmp_path, "p.txt", text)
+    code, out, _ = run(capsys, "compute", path, "--family", family)
+    assert code == 0
+    point_file = parse_point_file(text)
+    cert = compute_strong_centerpoint(
+        point_file.points, named_family(family, point_file.dim)
+    )
+    offsets = re.findall(r"^    offset: (.+)$", out, flags=re.M)
+    contains = re.findall(r"^    contains: (\d+)$", out, flags=re.M)
+    assert offsets == [format_number(h.offset) for h in cert.halfspaces]
+    assert [int(c) for c in contains] == [
+        sum(1 for p in point_file.points if h.contains(p))
+        for h in cert.halfspaces
+    ]
+
+
+def test_cli_compute_builds_one_projector(tmp_path, capsys, monkeypatch):
+    built = []
+    original = polytope._Projector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(polytope._Projector, "__init__", counting_init)
+    path = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
+    code, out, _ = run(capsys, "compute", path, "--family", "axis-box")
+    assert code == 0
+    assert "verdict: ok" in out
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, parser",
+    [
+        (["compute", "P", "--family", "axis-box"], "parse_point_file"),
+        (
+            ["verify", "P", "--family", "axis-box", "--candidate", "1 0"],
+            "parse_point_file",
+        ),
+        (["abstract", "S"], "parse_set_system"),
+    ],
+)
+def test_cli_time_ms_includes_parsing(
+    tmp_path, capsys, monkeypatch, argv, parser
+):
+    points = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
+    system = write(tmp_path, "s.txt", "3 2\n0 1\n1 2\n")
+    argv = [{"P": points, "S": system}.get(a, a) for a in argv]
+    _, fast, _ = run(capsys, *argv)
+    original = getattr(cli, parser)
+
+    def slow_parse(text):
+        time.sleep(0.05)
+        return original(text)
+
+    monkeypatch.setattr(cli, parser, slow_parse)
+    _, slow, _ = run(capsys, *argv)
+    assert strip_timing(slow) == strip_timing(fast)
+    assert int(re.search(r"^time-ms: (\d+)$", slow, flags=re.M).group(1)) >= 50

@@ -20,6 +20,7 @@ from strongcenter import (
     tightness_instance,
     verify_strong_centerpoint,
 )
+from strongcenter.polytope import _Projector
 
 PM_X = OrientationFamily([Orientation(1, 0), Orientation(-1, 0)])
 COLLINEAR4 = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
@@ -55,6 +56,7 @@ def test_compute_four_collinear_hand_trace():
     cert = compute_strong_centerpoint(COLLINEAR4, PM_X)
     assert cert.rank == 3
     assert [h.offset for h in cert.halfspaces] == [2, -1]
+    assert cert.contains == (3, 3)
     assert cert.region_members == (1, 2)
     assert cert.chosen_index == 1
     assert cert.point == Point(1, 0)
@@ -291,3 +293,60 @@ def test_float_and_int_projection_paths_agree_on_ties():
         b = verify_strong_centerpoint(int_points, PM_X, candidate)
         assert a.ok == b.ok
         assert a.witness_count == b.witness_count
+
+
+def test_float_candidate_against_int64_column_is_exact():
+    # 2**53 + 3 rounds to 2**53 + 4 in float64, the candidate itself; every
+    # point lies strictly below it, so 4 > n/2 points avoid it
+    points = [Point(2**53 + 3)] * 3 + [Point(0)]
+    family = OrientationFamily([Orientation(1), Orientation(-1)])
+    candidate = Point(9007199254740996.0)
+    verdict = verify_strong_centerpoint(points, family, candidate)
+    assert not verdict.ok
+    assert verdict.witness_orientation == Orientation(1)
+    assert verdict.witness_count == 4
+    assert max_avoiding_count(points, family, candidate)[0] == 4
+    assert brute_force_max_avoiding(points, family, candidate) == 4
+
+
+def test_float_candidate_witness_count_is_exact():
+    # the 131 points at c - 1 would round up to c in float64
+    c = 2**53 + 1000
+    points = [Point(c - 1, j % 7 - 3) for j in range(131)]
+    points += [Point(2**53 + 2 * (j % 500), j % 5 - 2) for j in range(869)]
+    verdict = verify_strong_centerpoint(
+        points, axis_box_family(2), Point(float(c), 0.0)
+    )
+    assert not verdict.ok
+    assert verdict.witness_orientation == Orientation(1, 0)
+    assert verdict.witness_count == 1000
+
+
+def test_int_candidate_against_float64_column_is_exact():
+    # float(2**53 + 1) == 2**53, yet 2**53 < 2**53 + 1 exactly
+    points = [Point(float(2**53), 0.0)] * 3 + [Point(0.5, 0.0)]
+    verdict = verify_strong_centerpoint(points, PM_X, Point(2**53 + 1, 0))
+    assert not verdict.ok
+    assert verdict.witness_count == 4
+
+
+def test_mixed_int_and_float_points_stay_exact():
+    # float64 would round 2**53 + 3 up to the candidate's 2**53 + 4
+    points = [Point(2**53 + 3, 0)] * 3 + [Point(0.5, 0)]
+    candidate = Point(2**53 + 4, 0)
+    verdict = verify_strong_centerpoint(points, PM_X, candidate)
+    assert not verdict.ok
+    assert verdict.witness_count == 4
+    assert brute_force_max_avoiding(points, PM_X, candidate) == 4
+    cert = compute_strong_centerpoint(points, PM_X)
+    assert [h.offset for h in cert.halfspaces] == [2**53 + 3, -(2**53 + 3)]
+
+
+def test_projector_may_stand_in_for_points():
+    projector = _Projector(COLLINEAR4, PM_X)
+    cert = compute_strong_centerpoint(projector, PM_X)
+    assert cert == compute_strong_centerpoint(COLLINEAR4, PM_X)
+    assert verify_strong_centerpoint(projector, PM_X, Point(3, 0)) == \
+        verify_strong_centerpoint(COLLINEAR4, PM_X, Point(3, 0))
+    with pytest.raises(ValueError):
+        verify_strong_centerpoint(projector, axis_box_family(2), Point(1, 0))
