@@ -87,13 +87,13 @@ def _cmd_compute(args) -> int:
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     family = _load_family(args.family, point_file.dim)
-    projector = _Projector(point_file.points, family)
+    projector = _Projector(point_file, family)
     certificate = compute_strong_centerpoint(projector, family)
     verdict = verify_strong_centerpoint(projector, family, certificate.point)
     report = Report("compute", input_digest(data))
     report.add("family", args.family)
     report.add("d", point_file.dim)
-    report.add("n", len(point_file.points))
+    report.add("n", len(point_file.rows))
     report.add("k", family.k)
     report.add("rank", certificate.rank)
     report.add_raw("halfspaces:")
@@ -129,11 +129,11 @@ def _cmd_verify(args) -> int:
             f"{point_file.dim}"
         )
     candidate = Point(tuple(parse_number(token) for token in tokens))
-    verdict = verify_strong_centerpoint(point_file.points, family, candidate)
+    verdict = verify_strong_centerpoint(point_file, family, candidate)
     report = Report("verify", input_digest(data))
     report.add("family", args.family)
     report.add("d", point_file.dim)
-    report.add("n", len(point_file.points))
+    report.add("n", len(point_file.rows))
     report.add("k", family.k)
     report.add("candidate", " ".join(tokens))
     report.add("verdict", "ok" if verdict.ok else "not-centerpoint")

@@ -1,35 +1,63 @@
 """The point-file format: a ``d n`` header, then n rows of d coordinates.
 
-Integer-looking tokens parse to exact ints, everything else to floats. Raw
-row text is retained so reports can echo coordinates as they were typed.
+Integer-looking tokens parse to exact ints, everything else to floats. The
+coordinates are kept as per-axis columns, and the raw row text is retained
+so reports can echo coordinates as they were typed.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .errors import ParseError
 from .geometry import Point
 
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
+# Text made of these bytes alone holds only tokens of the characters 0-9+-,
+# which int() reads exactly as parse_number does whenever it accepts them.
+_PLAIN_INT_BYTES = (
+    "0123456789+-" + "".join(c for c in map(chr, range(128)) if c.isspace())
+).encode("ascii")
 
 
 @dataclass(frozen=True)
 class PointFile:
-    """Parsed point file: dimension, points, and the original row text."""
+    """Parsed point file: dimension, per-axis coordinate columns, and the
+    original row text.
+
+    Each column is an int64 array when every token of the file is a plain
+    integer that fits in int64, and otherwise a tuple of the parsed ints and
+    floats. ``points`` is built from the rows on first use.
+    """
 
     dim: int
-    points: tuple
+    columns: tuple = field(repr=False, compare=False)
     rows: tuple
+
+    def point(self, index: int) -> Point:
+        """The point on row ``index``, parsed token by token."""
+        return Point(tuple(map(parse_number, self.rows[index].split())))
+
+    @cached_property
+    def points(self) -> tuple:
+        """Every row as a Point, built on first use."""
+        return tuple(map(self.point, range(len(self.rows))))
 
 
 def parse_number(token: str):
     """One coordinate token: an exact int when it looks like one, else a
     finite float."""
     if _INT_TOKEN.match(token):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"bad coordinate {token!r}") from None
     try:
         value = float(token)
     except ValueError:
@@ -65,18 +93,43 @@ def parse_point_file(text: str) -> PointFile:
         raise ParseError(
             f"header promises {n} points, file has {len(lines) - 1} rows"
         )
-    points = []
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    columns = _int64_columns(text, body, dim)
+    if columns is None:
+        columns = _parsed_columns(body, dim)
+    return PointFile(dim, columns, tuple(map(str.strip, body)))
+
+
+def _int64_columns(text: str, body: list, dim: int):
+    """int64 columns converted in one pass, or None unless every token is
+    made of the characters 0-9+- and every row is well formed and fits."""
+    if not text.isascii() or text.encode("ascii").translate(
+        None, _PLAIN_INT_BYTES
+    ):
+        return None
+    if set(map(len, map(str.split, body))) != {dim}:
+        return None
+    tokens = chain.from_iterable(map(str.split, body))
+    try:
+        flat = np.fromiter(map(int, tokens), np.int64, count=len(body) * dim)
+    except (OverflowError, ValueError):
+        return None
+    return tuple(flat.reshape(-1, dim).T.copy())
+
+
+def _parsed_columns(body: list, dim: int) -> tuple:
+    """Columns of Python numbers, token by token; raises on the first
+    malformed row or token."""
+    values = []
+    for line_no, line in enumerate(body, start=2):
         parts = line.split()
         if len(parts) != dim:
             raise ParseError(
                 f"line {line_no}: expected {dim} coordinates, got "
                 f"{len(parts)}"
             )
-        points.append(Point(tuple(parse_number(token) for token in parts)))
-        rows.append(line.strip())
-    return PointFile(dim, tuple(points), tuple(rows))
+        values.extend(map(parse_number, parts))
+    return tuple(tuple(values[j::dim]) for j in range(dim))
 
 
 def format_points(points) -> str:

@@ -27,6 +27,7 @@ from .geometry import (
     kth_smallest,
     project,
 )
+from .pointfile import PointFile
 
 BRUTE_FORCE_DEFAULT_BUDGET = 20_000_000
 
@@ -91,55 +92,35 @@ class CenterpointCertificate:
 class _Projector:
     """Per-orientation projections of one point set, vectorized.
 
-    Columns stay int64 (exact) for integer instances inside overflow-safe
-    bounds and use float64 for float instances. Object dtype takes the
-    rest: oversized integers, and integers mixed with floats wherever
-    float64 would round a sum that :func:`project` keeps exact.
-    Accumulation is elementwise per axis so results equal :func:`project`,
-    keeping certificate offsets and verifier counts agreed on exact ties.
+    Built from a Point sequence or a parsed :class:`PointFile`; either way
+    the coordinates become per-axis columns, then arrays. Columns stay
+    int64 (exact) for integer instances inside overflow-safe bounds and use
+    float64 for float instances. Object dtype takes the rest: oversized
+    integers, and integers mixed with floats wherever float64 would round a
+    sum that :func:`project` keeps exact. Accumulation is elementwise per
+    axis so results equal :func:`project`, keeping certificate offsets and
+    verifier counts agreed on exact ties. ``point(i)`` returns input point
+    ``i``.
     """
 
-    def __init__(self, points: Sequence[Point], family: OrientationFamily):
-        if len(points) == 0:
-            raise ValueError("empty point set")
+    def __init__(
+        self,
+        points: Union[Sequence[Point], PointFile],
+        family: OrientationFamily,
+    ):
         dim = family.dim
-        for idx, p in enumerate(points):
-            if not isinstance(p, Point):
-                raise TypeError(f"points[{idx}] is not a Point")
-            if p.dim != dim:
+        if isinstance(points, PointFile):
+            if points.dim != dim:
                 raise DimensionMismatchError(
-                    f"points[{idx}] has dimension {p.dim}, family has {dim}"
+                    f"points have dimension {points.dim}, family has {dim}"
                 )
-        self.family = family
-        self.points = points
-        self.n = len(points)
-        cols = [[p.coords[j] for p in points] for j in range(dim)]
-        dir_bound = max(
-            (abs(c) for o in family if o.is_integral for c in o.direction),
-            default=0,
-        )
-        arrays = None
-        if all(p.is_integral for p in points):
-            coord_bound = max(max(abs(c) for c in col) for col in cols)
-            if (coord_bound + 1) * (dir_bound + 1) * dim < _INT64_SAFE:
-                arrays = [np.asarray(col, dtype=np.int64) for col in cols]
+            columns, self.point = points.columns, points.point
         else:
-            try:
-                arrays = [np.asarray(col, dtype=np.float64) for col in cols]
-            except OverflowError:
-                arrays = None
-            if arrays is not None and dir_bound:
-                # project() sums integer terms exactly; float64 agrees only
-                # while every such partial sum stays below 2**53
-                coord_bound = max(float(np.abs(a).max()) for a in arrays)
-                bound = (coord_bound + 1) * (dir_bound + 1) * dim
-                if bound >= _FLOAT64_EXACT and any(
-                    isinstance(c, int) for col in cols for c in col
-                ):
-                    arrays = None
-        if arrays is None:
-            arrays = [np.asarray(col, dtype=object) for col in cols]
-        self._cols = arrays
+            columns = _point_columns(points, dim)
+            self.point = points.__getitem__
+        self.family = family
+        self.n = len(columns[0])
+        self._cols = _column_arrays(columns, family)
         self._cache: dict[int, np.ndarray] = {}
 
     def along(self, index: int) -> np.ndarray:
@@ -187,6 +168,69 @@ class _Projector:
         return np.flatnonzero(inside).tolist(), contains
 
 
+def _point_columns(points: Sequence[Point], dim: int) -> list:
+    """Per-axis coordinate lists of ``points``, each checked to be a Point
+    of dimension ``dim``."""
+    if len(points) == 0:
+        raise ValueError("empty point set")
+    if not (
+        all(map(isinstance, points, itertools.repeat(Point)))
+        and {len(p.coords) for p in points} == {dim}
+    ):
+        for idx, p in enumerate(points):  # name the first bad entry
+            if not isinstance(p, Point):
+                raise TypeError(f"points[{idx}] is not a Point")
+            if p.dim != dim:
+                raise DimensionMismatchError(
+                    f"points[{idx}] has dimension {p.dim}, family has {dim}"
+                )
+    return [[p.coords[j] for p in points] for j in range(dim)]
+
+
+def _column_arrays(columns, family: OrientationFamily) -> list:
+    """int64, float64 or object arrays for ``columns`` (int64 arrays or
+    sequences of Python numbers), chosen as :class:`_Projector` describes."""
+    dim = family.dim
+    dir_bound = max(
+        (abs(c) for o in family if o.is_integral for c in o.direction),
+        default=0,
+    )
+    if all(_holds_ints(col, all) for col in columns):
+        coord_bound = max(map(_magnitude, columns))
+        if (coord_bound + 1) * (dir_bound + 1) * dim < _INT64_SAFE:
+            return [np.asarray(col, dtype=np.int64) for col in columns]
+    else:
+        try:
+            arrays = [np.asarray(col, dtype=np.float64) for col in columns]
+        except OverflowError:
+            arrays = None
+        if arrays is not None and dir_bound:
+            # project() sums integer terms exactly; float64 agrees only
+            # while every such partial sum stays below 2**53
+            coord_bound = max(float(np.abs(a).max()) for a in arrays)
+            bound = (coord_bound + 1) * (dir_bound + 1) * dim
+            if bound >= _FLOAT64_EXACT and any(
+                _holds_ints(col, any) for col in columns
+            ):
+                arrays = None
+        if arrays is not None:
+            return arrays
+    return [np.asarray(col, dtype=object) for col in columns]
+
+
+def _holds_ints(column, quantifier) -> bool:
+    """``quantifier`` (all or any) of the column's values are ints."""
+    if isinstance(column, np.ndarray):
+        return column.dtype == np.int64
+    return quantifier(map(isinstance, column, itertools.repeat(int)))
+
+
+def _magnitude(column) -> int:
+    if isinstance(column, np.ndarray):  # abs() would wrap at -2**63
+        return max(int(column.max()), -int(column.min()))
+    return max(map(abs, column))
+
+
 def _projector_for(points, family: OrientationFamily) -> _Projector:
     if isinstance(points, _Projector):
         if points.family != family:
@@ -196,15 +240,16 @@ def _projector_for(points, family: OrientationFamily) -> _Projector:
 
 
 def compute_strong_centerpoint(
-    points: Union[Sequence[Point], _Projector], family: OrientationFamily
+    points: Union[Sequence[Point], PointFile, _Projector],
+    family: OrientationFamily,
 ) -> CenterpointCertificate:
     """Construct a strong centerpoint of ``points`` for ``family``.
 
     Cuts each orientation at the rank given by :func:`selection_rank` and
     returns the lowest-index point inside all k halfspaces, which is
-    guaranteed to exist. Expected O(k * n) time. ``points`` may be a
-    projector already built for ``family``, so that a caller which also
-    verifies projects the points once.
+    guaranteed to exist. Expected O(k * n) time. ``points`` may be a parsed
+    :class:`PointFile`, or a projector already built for ``family``, so
+    that a caller which also verifies projects the points once.
     """
     projector = _projector_for(points, family)
     rank = selection_rank(projector.n, family.k)
@@ -220,7 +265,7 @@ def compute_strong_centerpoint(
         region_members=tuple(members),
         chosen_index=chosen,
         rank=rank,
-        point=projector.points[chosen],
+        point=projector.point(chosen),
         contains=tuple(contains),
     )
 
@@ -231,7 +276,7 @@ def core_region(points: Sequence[Point], family: OrientationFamily) -> list[int]
 
 
 def verify_strong_centerpoint(
-    points: Union[Sequence[Point], _Projector],
+    points: Union[Sequence[Point], PointFile, _Projector],
     family: OrientationFamily,
     candidate: Point,
 ) -> Verdict:
@@ -241,7 +286,8 @@ def verify_strong_centerpoint(
     than (1 - 1/k) * n points projecting strictly below the candidate,
     because the worst avoiding polytope along a direction is the open
     halfspace just under the candidate. O(k * n), no tolerances. ``points``
-    may be a projector already built for ``family``.
+    may be a parsed :class:`PointFile`, or a projector already built for
+    ``family``.
     """
     projector = _projector_for(points, family)
     n = projector.n

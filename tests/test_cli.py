@@ -11,7 +11,7 @@ from strongcenter import (
     render_plot,
     tightness_instance,
 )
-from strongcenter import cli, polytope
+from strongcenter import cli, polytope, setsystem
 from strongcenter.cli import main
 from strongcenter.families import named_family
 from strongcenter.pointfile import (
@@ -465,3 +465,44 @@ def test_cli_time_ms_includes_parsing(
     _, slow, _ = run(capsys, *argv)
     assert strip_timing(slow) == strip_timing(fast)
     assert int(re.search(r"^time-ms: (\d+)$", slow, flags=re.M).group(1)) >= 50
+
+
+POINTS_ARGV = ["compute", "P", "--family", "axis-box"]
+VERIFY_ARGV = ["verify", "P", "--family", "axis-box", "--candidate", "1 0"]
+
+
+# perfbench's traced run (--trace 1) replaces these module attributes with
+# timing wrappers; a command that stops calling them through the module
+# would drop its spans without any other test failing.
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (cli, "parse_point_file", POINTS_ARGV),
+        (cli, "parse_point_file", VERIFY_ARGV),
+        (cli, "compute_strong_centerpoint", POINTS_ARGV),
+        (cli, "verify_strong_centerpoint", POINTS_ARGV),
+        (cli, "verify_strong_centerpoint", VERIFY_ARGV),
+        (cli, "input_digest", POINTS_ARGV),
+        (cli, "input_digest", VERIFY_ARGV),
+        (polytope, "kth_smallest", POINTS_ARGV),
+        (setsystem, "restrict", ["abstract", "S"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_traced_names_are_called_through_their_modules(
+    tmp_path, capsys, monkeypatch, module, name, argv
+):
+    points = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
+    system = write(tmp_path, "s.txt", "6 3\n0 1 2 3 4\n3 4 5\n0 5\n")
+    argv = [{"P": points, "S": system}.get(a, a) for a in argv]
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls
