@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     except BoundedIntersectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (SizeGuardError, ValueError, OSError) as exc:
+    except (SizeGuardError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

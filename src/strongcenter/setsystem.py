@@ -2,11 +2,13 @@
 
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
-of them. The solver recurses on the largest heavy set, lowering the order
-by one per level; the pairwise (order 2) base intersects all heavy sets
-directly and reports an explicit witness when no common element survives.
-The brute-force oracle intersects heavy sets with no recursion at all and
-stays the independent route for tests.
+of them. The solver restricts once to the largest heavy set, which then
+is the whole ground set and stays the largest heavy set at every lower
+order, so the levels down to order 2 change nothing but the order. The
+pairwise (order 2) base intersects all heavy sets directly and reports an
+explicit witness, indexed in the once-restricted system, when no common
+element survives. The brute-force oracle intersects heavy sets with no
+restriction at all and stays the independent route for tests.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ class AbstractResult:
 
     ``element`` is the found ground id, or None. On failure ``witness``
     lists heavy set indices whose common intersection is empty, indexed in
-    the system at the recursion level where the search failed. ``trace``
-    records one (ground size, chosen set index) pair per level; the chosen
-    index is None at the base level.
+    the once-restricted system (in the input itself at order 2).
+    ``trace`` records one (ground size, chosen set index) pair per order
+    from k down to 2; the chosen index is None at the base level.
     """
 
     element: Optional[int]
@@ -163,25 +165,26 @@ def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
         raise ValueError("cannot lower the order below 2")
     base = system.sets[set_index]
     forward = {element: i for i, element in enumerate(base)}
-    new_sets = []
-    seen = set()
-    for s in system.sets:
-        t = tuple(forward[e] for e in s if e in forward)
-        if t and t not in seen:
-            seen.add(t)
-            new_sets.append(t)
-    restricted = SetSystem(len(base), tuple(new_sets), system.k - 1)
+    restricted = SetSystem.from_sets(
+        len(base),
+        ((forward[e] for e in s if e in forward) for s in system.sets),
+        system.k - 1,
+    )
     return restricted, base
 
 
 def strong_centerpoint(system: SetSystem) -> AbstractResult:
     """Find an element contained in every heavy set of the system.
 
-    Recurses on the largest heavy set (ties to the lowest index) at order
-    k - 1 down to the pairwise base. The restriction of the chosen set to
-    itself is always heavy in the restricted system, so a deeper success
-    maps home through the recorded ground ids. A no-centerpoint outcome
-    propagates with its witness left in the failing level's indexing.
+    Restricts once to the largest heavy set (ties to the lowest index).
+    The chosen set becomes the whole restricted ground set, the unique
+    largest set and heavy at every order, so each level from k - 1 down
+    to 3 would restrict to it again and change only the order. The
+    restricted sets go straight to the pairwise base, and the trace
+    repeats the ground set's index once per skipped level; it has k - 1
+    entries, so the order is size-guarded. A success maps home through
+    the recorded ground ids; a no-centerpoint witness stays in the
+    restricted system's indexing.
     """
     if system.k == 2:
         return strong_centerpoint_pairwise(system)
@@ -190,11 +193,19 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
         return AbstractResult(0, None, ((system.n, None),))
     chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
     restricted, back_ids = restrict(system, chosen)
-    inner = strong_centerpoint(restricted)
-    trace = ((system.n, chosen),) + inner.trace
-    if inner.element is None:
-        return AbstractResult(None, inner.witness, trace)
-    return AbstractResult(back_ids[inner.element], None, trace)
+    base = strong_centerpoint_pairwise(
+        SetSystem(restricted.n, restricted.sets, 2)
+    )
+    check_size_guard(system.k, BRUTE_FORCE_DEFAULT_BUDGET)
+    ground = restricted.sets.index(tuple(range(restricted.n)))
+    trace = (
+        ((system.n, chosen),)
+        + ((restricted.n, ground),) * (system.k - 3)
+        + base.trace
+    )
+    if base.element is None:
+        return AbstractResult(None, base.witness, trace)
+    return AbstractResult(back_ids[base.element], None, trace)
 
 
 def brute_force_strong_centerpoints(
@@ -228,13 +239,20 @@ def check_bounded_intersection(
     or equals the intersection of some proper sub-tuple of two or more of
     its sets; a single set is not an escape, so at order 2 any pair
     sharing two elements violates, nested or not. Cost grows as
-    C(|sets|, k) * k * n; guarded. Fewer than k sets pass vacuously.
+    C(|sets|, k) * k * n, and at order 2 as the sum over pairs of the
+    smaller set's size, which is what a frozenset intersection walks;
+    guarded. Fewer than k sets pass vacuously.
     """
     m = len(system.sets)
     k = system.k
     if m < k:
         return None
-    cost = math.comb(m, k) * k * max(1, system.n)
+    if k == 2:
+        sizes = sorted(len(s) for s in system.sets)
+        # the i-th smallest set is the smaller one in m - 1 - i pairs
+        cost = sum(size * (m - 1 - i) for i, size in enumerate(sizes))
+    else:
+        cost = math.comb(m, k) * k * max(1, system.n)
     check_size_guard(
         cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
     )
@@ -283,15 +301,6 @@ def _norm1(v) -> float:
     return float(sum(abs(x) for x in v))
 
 
-def _collinear2(a, b, t) -> bool:
-    u = _subtract(b, a)
-    v = _subtract(t, a)
-    cross = u[0] * v[1] - u[1] * v[0]
-    if _all_int(u, v):
-        return cross == 0
-    return abs(cross) <= _INCIDENCE_TOL * max(_norm1(u) * _norm1(v), 1.0)
-
-
 def _cross3(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -300,19 +309,13 @@ def _cross3(u, v):
     )
 
 
-def _collinear3(a, b, t) -> bool:
-    u = _subtract(b, a)
-    v = _subtract(t, a)
-    cross = _cross3(u, v)
-    if _all_int(u, v):
-        return not any(cross)
-    return _norm1(cross) <= _INCIDENCE_TOL * max(_norm1(u) * _norm1(v), 1.0)
-
-
-def _plane_normal(a, b, c):
-    """Normal of the plane through three locations, or None if collinear."""
-    u = _subtract(b, a)
-    v = _subtract(c, a)
+def _normal(span):
+    """Normal of the hyperplane through ``dim`` locations, or None if they
+    do not span one: two equal points, or three collinear ones."""
+    u = _subtract(span[1], span[0])
+    if len(span) == 2:
+        return None if span[0] == span[1] else (-u[1], u[0])
+    v = _subtract(span[2], span[0])
     normal = _cross3(u, v)
     if _all_int(u, v):
         return normal if any(normal) else None
@@ -329,27 +332,6 @@ def _on_plane(anchor, normal, t) -> bool:
     return abs(dot) <= _INCIDENCE_TOL * max(_norm1(normal) * _norm1(v), 1.0)
 
 
-def _degenerate_flats(coords, dim: int) -> list[frozenset]:
-    """Maximal candidate flats when no subset can span a hyperplane."""
-    n = len(coords)
-    groups: dict = {}
-    for t, c in enumerate(coords):
-        groups.setdefault(c, []).append(t)
-    flats = [frozenset(g) for g in groups.values()]
-    if dim == 3:
-        for i, j in itertools.combinations(range(n), 2):
-            if coords[i] == coords[j]:
-                continue
-            flats.append(
-                frozenset(
-                    t
-                    for t in range(n)
-                    if _collinear3(coords[i], coords[j], coords[t])
-                )
-            )
-    return flats
-
-
 def hyperplane_system(
     points: Sequence[Point], dim: int, budget: Optional[int] = None
 ) -> SetSystem:
@@ -358,10 +340,10 @@ def hyperplane_system(
     Each hyperplane through ``dim`` affinely independent points contributes
     the set of all point indices incident to it; the system's order is
     ``dim``, matching how many such sets can share more than one point
-    without sharing their whole flat. When n <= dim nothing spans, so
-    maximal degenerate flats (coincident groups, collinear groups in
-    dimension 3) stand in. Incidence is exact for integer coordinates and
-    tolerance-based (1e-9, relative) for floats.
+    without sharing their whole flat. When n <= dim all points lie on one
+    common hyperplane, so the system is the single set of all indices.
+    Incidence is exact for integer coordinates and tolerance-based (1e-9,
+    relative) for floats.
     """
     if dim not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
@@ -380,36 +362,19 @@ def hyperplane_system(
     check_size_guard(
         cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
     )
+    if n <= dim:
+        return SetSystem(n, (tuple(range(n)),), dim)
     coords = [p.coords for p in pts]
     found: set = set()
-    if dim == 2:
-        for i, j in itertools.combinations(range(n), 2):
-            if coords[i] == coords[j]:
-                continue
-            found.add(
-                frozenset(
-                    t
-                    for t in range(n)
-                    if _collinear2(coords[i], coords[j], coords[t])
-                )
+    for span in itertools.combinations(coords, dim):
+        normal = _normal(span)
+        if normal is None:
+            continue
+        found.add(
+            frozenset(
+                t for t in range(n) if _on_plane(span[0], normal, coords[t])
             )
-    else:
-        for i, j, l in itertools.combinations(range(n), 3):
-            normal = _plane_normal(coords[i], coords[j], coords[l])
-            if normal is None:
-                continue
-            found.add(
-                frozenset(
-                    t
-                    for t in range(n)
-                    if _on_plane(coords[i], normal, coords[t])
-                )
-            )
-    if n <= dim:
-        candidates = found | set(_degenerate_flats(coords, dim))
-        found = {
-            s for s in candidates if not any(s < t for t in candidates)
-        }
+        )
     sets = tuple(sorted(tuple(sorted(s)) for s in found))
     return SetSystem(n, sets, dim)
 

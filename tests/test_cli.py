@@ -267,6 +267,46 @@ def test_cli_abstract_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_abstract_deep_order(tmp_path, capsys):
+    path = write(tmp_path, "s.txt", "1 5000\n0\n")
+    code, out, _ = run(capsys, "abstract", path)
+    assert code == 0
+    assert "element: 0" in out
+    assert out.count("- n: 1\n") == 4999
+
+
+def test_cli_abstract_deep_order_is_size_guarded(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "s.txt", "1 5000\n0\n")
+    monkeypatch.setenv("SC_SIZE_GUARD", "100")
+    code, out, err = run(capsys, "abstract", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: estimated cost 5000 exceeds budget 100")
+
+
+# an integer beyond float range meets the family's float directions
+OVERFLOW_POINTS = "2 4\n1e308 -1e308\n1" + "0" * 310 + " 0\n0.5 1\n-2 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "P", "--family", "downward-triangle"],
+        ["verify", "P", "--family", "downward-triangle", "--candidate", "0 0"],
+        ["plot", "P", "--family", "downward-triangle", "--svg", "O"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_float_overflow_exits_2(tmp_path, capsys, argv):
+    points = write(tmp_path, "p.txt", OVERFLOW_POINTS)
+    svg = str(tmp_path / "out.svg")
+    argv = [{"P": points, "O": svg}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: int too large to convert to float\n"
+
+
 def test_cli_missing_file_exits_2(capsys):
     code, _, err = run(
         capsys, "compute", "/nonexistent/p.txt", "--family", "axis-box"

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strongcenter import (
     BoundedIntersectionError,
@@ -18,6 +24,7 @@ from strongcenter import (
     strong_centerpoint,
     strong_centerpoint_pairwise,
 )
+from strongcenter.cli import main
 
 THREE_LINES = SetSystem(3, ((0, 1), (1, 2), (0, 2)), 2)
 
@@ -103,7 +110,7 @@ def test_pairwise_detects_violated_intersection_lazily():
 
 def test_pairwise_accepts_nested_heavy_sets():
     # a nested pair is an intersection achieved by the single larger set,
-    # which the recursion from higher orders produces routinely
+    # which restriction from higher orders produces routinely
     system = SetSystem(4, ((0, 1, 2, 3), (0, 1, 2)), 2)
     result = strong_centerpoint_pairwise(system)
     assert result.element == 0
@@ -157,6 +164,25 @@ def test_general_order_hand_trace():
     assert result.element == 0
     assert result.trace == ((6, 0), (5, None))
     assert result.element in brute_force_strong_centerpoints(system)
+
+
+def test_general_order_restricts_once_at_deep_order():
+    # every level below the first restricts to the whole ground set, so
+    # the trace repeats it; an order this deep once overflowed the stack
+    result = strong_centerpoint(SetSystem(1, ((0,),), 5000))
+    assert result.element == 0
+    assert len(result.trace) == 4999
+    assert result.trace[0] == result.trace[-2] == (1, 0)
+    assert result.trace[-1] == (1, None)
+
+
+def test_general_order_trace_names_ground_set_at_each_skipped_level():
+    # set 0 survives restriction as {6}, so the restricted ground set
+    # sits at index 1 at each skipped level
+    system = SetSystem(7, ((0, 6), (1, 2, 3, 4, 5, 6), (0, 1)), 5)
+    result = strong_centerpoint(system)
+    assert result.element == 1
+    assert result.trace == ((7, 1), (6, 1), (6, 1), (6, None))
 
 
 def test_general_order_no_heavy_sets():
@@ -297,6 +323,20 @@ def test_checker_size_guard():
         check_bounded_intersection(system)
 
 
+def test_checker_order_two_guard_sums_smaller_set_sizes():
+    # C(700, 2) pairs of 2-element sets cost 489,300 set probes; the
+    # ground size n does not enter the order-2 estimate
+    system = SetSystem(100_000, tuple((i, 50_000 + i) for i in range(700)), 2)
+    assert check_bounded_intersection(system) is None
+    assert check_bounded_intersection(system, budget=489_300) is None
+    with pytest.raises(SizeGuardError, match="estimated cost 489300 "):
+        check_bounded_intersection(system, budget=489_299)
+    # sizes 1, 2, 3: the pairs cost min(1,2) + min(1,3) + min(2,3) = 4
+    mixed = SetSystem(6, ((5,), (0, 1, 2), (3, 4)), 2)
+    with pytest.raises(SizeGuardError, match="estimated cost 4 "):
+        check_bounded_intersection(mixed, budget=3)
+
+
 # ------------------------------------------------------------- hyperplanes
 
 
@@ -342,7 +382,7 @@ def test_hyperplane_coplanar_points_merge():
 
 
 def test_hyperplane_tiny_inputs_use_maximal_flats():
-    # with n <= d no spanned hyperplane exists; maximal flats stand in
+    # with n <= d all points lie on one common hyperplane: one set of all ids
     one = hyperplane_system([Point(2, 5)], 2)
     assert one.sets == ((0,),)
     two = hyperplane_system([Point(0, 0), Point(1, 1)], 2)
@@ -397,6 +437,54 @@ def test_hyperplane_systems_pass_checker_and_match_oracle():
             assert oracle == []
 
 
+def exact_hyperplane_sets(coords, dim):
+    """The incidence sets by definition, in exact integer arithmetic."""
+    n = len(coords)
+    if n <= dim:
+        return (tuple(range(n)),)
+    found = set()
+    for span in itertools.combinations(coords, dim):
+        anchor = span[0]
+        u = [x - y for x, y in zip(span[1], anchor)]
+        if dim == 2:
+            normal = (-u[1], u[0])
+        else:
+            v = [x - y for x, y in zip(span[2], anchor)]
+            normal = (
+                u[1] * v[2] - u[2] * v[1],
+                u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0],
+            )
+        if not any(normal):
+            continue
+        found.add(
+            tuple(
+                t
+                for t, p in enumerate(coords)
+                if sum(c * (x - y) for c, x, y in zip(normal, p, anchor)) == 0
+            )
+        )
+    return tuple(sorted(found))
+
+
+@st.composite
+def small_int_points(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    coordinate = st.integers(-2, 2)
+    pool = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=8))
+    # drawing from a pool that may be smaller than n repeats points
+    n = draw(st.integers(1, 8))
+    return dim, [draw(st.sampled_from(pool)) for _ in range(n)]
+
+
+@given(small_int_points())
+def test_hyperplane_system_matches_exact_definition(case):
+    dim, coords = case
+    system = hyperplane_system([Point(c) for c in coords], dim)
+    assert (system.n, system.k) == (len(coords), dim)
+    assert system.sets == exact_hyperplane_sets(coords, dim)
+
+
 def test_restriction_keeps_property_on_line_systems():
     rng = random.Random(13)
     checked = 0
@@ -437,6 +525,84 @@ def test_parse_tolerates_trailing_newline_only():
     assert parse_set_system("3 2\n0 1\n1 2\n\n") == SetSystem(
         3, ((0, 1), (1, 2)), 2
     )
+
+
+@given(
+    st.text(
+        alphabet=st.sampled_from(list("0123456789 -+x.\n\t\r٣")),
+        max_size=40,
+    )
+)
+def test_parse_set_system_raises_only_parse_error(text):
+    try:
+        system = parse_set_system(text)
+    except ParseError:
+        return
+    assert parse_set_system(format_set_system(system)) == system
+
+
+@st.composite
+def corrupted_set_system_files(draw):
+    """A small system's text form with one fault; n and k stay <= 10**4,
+    so that no example prints millions of trace lines."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 6))
+    sets = st.frozensets(st.integers(0, n - 1), min_size=1)
+    rows = [
+        [str(e) for e in sorted(s)]
+        for s in draw(st.lists(sets, min_size=1, max_size=6, unique=True))
+    ]
+    header = [str(n), str(k)]
+    fault = draw(
+        st.sampled_from(
+            ["none", "header", "order", "element", "token", "order-swap",
+             "duplicate", "blank-row", "utf-8"]
+        )
+    )
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault == "header":
+        header = draw(
+            st.sampled_from(
+                [[], [str(n)], [str(n), str(k), "1"], ["x", str(k)],
+                 [str(n), "2.0"], ["0", str(k)], ["-3", str(k)]]
+            )
+        )
+    elif fault == "order":
+        header[1] = str(draw(st.sampled_from([-1, 0, 1, 10, 10**4])))
+    elif fault == "element":
+        rows[i].append(str(draw(st.sampled_from([-1, n, n + 7, 10**4]))))
+    elif fault == "token":
+        rows[i][0] = draw(st.sampled_from(["x", "1.5", "0x1", "", "--1"]))
+    elif fault == "order-swap":
+        rows[i].reverse()
+        rows[i].append(rows[i][-1])
+    elif fault == "duplicate":
+        rows.append(list(rows[i]))
+    elif fault == "blank-row":
+        rows.insert(i, [])
+    lines = [" ".join(header)] + [" ".join(row) for row in rows]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if fault == "utf-8":
+        data = data.replace(b"\n", b"\n\xff", 1)
+    return data
+
+
+@given(corrupted_set_system_files())
+def test_cli_abstract_maps_corrupted_files_to_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["abstract", path, "--check", "--oracle"])
+    assert code in (0, 1, 2, 4)
+    if out.getvalue():
+        assert "\nmode: abstract\n" in out.getvalue()
+    else:
+        # malformed input, or a violation the solver meets unchecked
+        assert code in (2, 4)
+        assert err.getvalue().startswith("error: ")
 
 
 def test_parse_errors():
