@@ -55,7 +55,6 @@ from .polytope import (
     Verdict,
     brute_force_max_avoiding,
     compute_strong_centerpoint,
-    core_region,
     max_avoiding_count,
     selection_rank,
     verify_strong_centerpoint,
@@ -100,7 +99,6 @@ __all__ = [
     "check_bounded_intersection",
     "compute_strong_centerpoint",
     "convex_position_instance",
-    "core_region",
     "degenerate_instance",
     "downward_triangle_family",
     "format_number",

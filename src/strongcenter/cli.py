@@ -32,11 +32,7 @@ from .pointfile import (
     parse_number,
     parse_point_file,
 )
-from .polytope import (
-    _Projector,
-    compute_strong_centerpoint,
-    verify_strong_centerpoint,
-)
+from .polytope import compute_strong_centerpoint, verify_strong_centerpoint
 from .report import Report, input_digest
 from .setsystem import (
     brute_force_strong_centerpoints,
@@ -82,19 +78,25 @@ def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
 
 
-def _cmd_compute(args) -> int:
+def _read_points(args):
+    """Start the clock, parse the point file and load the family; returns
+    them with a report holding the family, d, n and k lines."""
     start = time.monotonic()
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     family = _load_family(args.family, point_file.dim)
-    projector = _Projector(point_file, family)
-    certificate = compute_strong_centerpoint(projector, family)
-    verdict = verify_strong_centerpoint(projector, family, certificate.point)
-    report = Report("compute", input_digest(data))
+    report = Report(args.command, input_digest(data))
     report.add("family", args.family)
     report.add("d", point_file.dim)
     report.add("n", len(point_file.rows))
     report.add("k", family.k)
+    return start, point_file, family, report
+
+
+def _cmd_compute(args) -> int:
+    start, point_file, family, report = _read_points(args)
+    certificate = compute_strong_centerpoint(point_file, family)
+    verdict = verify_strong_centerpoint(point_file, family, certificate.point)
     report.add("rank", certificate.rank)
     report.add_raw("halfspaces:")
     for halfspace, contains in zip(
@@ -118,10 +120,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    start = time.monotonic()
-    data = _read_bytes(args.points_file)
-    point_file = parse_point_file(data.decode("utf-8"))
-    family = _load_family(args.family, point_file.dim)
+    start, point_file, family, report = _read_points(args)
     tokens = args.candidate.split()
     if len(tokens) != point_file.dim:
         raise DimensionMismatchError(
@@ -130,11 +129,6 @@ def _cmd_verify(args) -> int:
         )
     candidate = Point(tuple(parse_number(token) for token in tokens))
     verdict = verify_strong_centerpoint(point_file, family, candidate)
-    report = Report("verify", input_digest(data))
-    report.add("family", args.family)
-    report.add("d", point_file.dim)
-    report.add("n", len(point_file.rows))
-    report.add("k", family.k)
     report.add("candidate", " ".join(tokens))
     report.add("verdict", "ok" if verdict.ok else "not-centerpoint")
     if not verdict.ok:
@@ -209,7 +203,7 @@ def _cmd_plot(args) -> int:
     if point_file.dim != 2:
         raise DimensionMismatchError("plotting requires dimension 2")
     family = _load_family(args.family, point_file.dim)
-    certificate = compute_strong_centerpoint(point_file.points, family)
+    certificate = compute_strong_centerpoint(point_file, family)
     svg = render_plot(point_file.points, certificate)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(svg)

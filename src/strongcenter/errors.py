@@ -22,15 +22,16 @@ class BoundedIntersectionError(ValueError):
 
 
 SIZE_GUARD_ENV = "SC_SIZE_GUARD"
+DEFAULT_BUDGET = 20_000_000
 
 
-def check_size_guard(estimated_cost: int, default_budget: int) -> None:
+def check_size_guard(estimated_cost: int, budget: int | None = None) -> None:
     """Raise SizeGuardError when ``estimated_cost`` exceeds the budget.
 
-    The budget is ``default_budget`` unless the SC_SIZE_GUARD environment
-    variable holds a positive integer, which then overrides every guard.
+    The budget is ``budget``, or DEFAULT_BUDGET when that is None, unless
+    the SC_SIZE_GUARD environment variable holds a positive integer, which
+    then overrides every guard.
     """
-    budget = default_budget
     raw = os.environ.get(SIZE_GUARD_ENV)
     if raw:
         try:
@@ -39,6 +40,8 @@ def check_size_guard(estimated_cost: int, default_budget: int) -> None:
             raise ValueError(
                 f"{SIZE_GUARD_ENV} must be an integer, got {raw!r}"
             ) from None
+    elif budget is None:
+        budget = DEFAULT_BUDGET
     if estimated_cost > budget:
         raise SizeGuardError(
             f"estimated cost {estimated_cost} exceeds budget {budget}; "

@@ -33,12 +33,17 @@ class PointFile:
 
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
-    floats. ``points`` is built from the rows on first use.
+    floats. ``points`` is built from the rows on first use. ``projectors``
+    maps each family's repr to the projection arrays the polytope functions
+    built for it; they stay in memory for as long as the PointFile does.
     """
 
     dim: int
     columns: tuple = field(repr=False, compare=False)
     rows: tuple
+    projectors: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def point(self, index: int) -> Point:
         """The point on row ``index``, parsed token by token."""

@@ -29,8 +29,6 @@ from .geometry import (
 )
 from .pointfile import PointFile
 
-BRUTE_FORCE_DEFAULT_BUDGET = 20_000_000
-
 # Dot products of int64 columns stay exact below this product bound.
 _INT64_SAFE = 2**62
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -232,24 +230,37 @@ def _magnitude(column) -> int:
 
 
 def _projector_for(points, family: OrientationFamily) -> _Projector:
-    if isinstance(points, _Projector):
-        if points.family != family:
-            raise ValueError("projector was built for another family")
-        return points
-    return _Projector(points, family)
+    """A new projector for a Point sequence; for a PointFile, the one kept
+    on it for ``family``. The key is the family's repr, since equal
+    families may differ in component type (1 and 1.0) or sign of zero, and
+    either changes the arithmetic."""
+    if not isinstance(points, PointFile):
+        return _Projector(points, family)
+    key = repr(family)
+    projector = points.projectors.get(key)
+    if projector is None:
+        projector = points.projectors[key] = _Projector(points, family)
+    return projector
+
+
+def _below_counts(projector: _Projector, candidate: Point):
+    """Per family orientation, in order, the orientation and how many
+    points project strictly below ``candidate`` along it."""
+    for i, o in enumerate(projector.family):
+        yield o, projector.count_below(i, project(candidate, o))
 
 
 def compute_strong_centerpoint(
-    points: Union[Sequence[Point], PointFile, _Projector],
+    points: Union[Sequence[Point], PointFile],
     family: OrientationFamily,
 ) -> CenterpointCertificate:
     """Construct a strong centerpoint of ``points`` for ``family``.
 
     Cuts each orientation at the rank given by :func:`selection_rank` and
     returns the lowest-index point inside all k halfspaces, which is
-    guaranteed to exist. Expected O(k * n) time. ``points`` may be a parsed
-    :class:`PointFile`, or a projector already built for ``family``, so
-    that a caller which also verifies projects the points once.
+    guaranteed to exist. Expected O(k * n) time. A :class:`PointFile` is
+    projected once per family and reused by later calls on it; a Point
+    sequence is converted to columns on every call.
     """
     projector = _projector_for(points, family)
     rank = selection_rank(projector.n, family.k)
@@ -270,13 +281,8 @@ def compute_strong_centerpoint(
     )
 
 
-def core_region(points: Sequence[Point], family: OrientationFamily) -> list[int]:
-    """Indices of the points inside every constructed halfspace, ascending."""
-    return list(compute_strong_centerpoint(points, family).region_members)
-
-
 def verify_strong_centerpoint(
-    points: Union[Sequence[Point], PointFile, _Projector],
+    points: Union[Sequence[Point], PointFile],
     family: OrientationFamily,
     candidate: Point,
 ) -> Verdict:
@@ -285,22 +291,21 @@ def verify_strong_centerpoint(
     Equivalent formulation used here: no orientation may have strictly more
     than (1 - 1/k) * n points projecting strictly below the candidate,
     because the worst avoiding polytope along a direction is the open
-    halfspace just under the candidate. O(k * n), no tolerances. ``points``
-    may be a parsed :class:`PointFile`, or a projector already built for
-    ``family``.
+    halfspace just under the candidate. O(k * n), no tolerances. A
+    :class:`PointFile` is projected once per family and reused by later
+    calls on it; a Point sequence is converted to columns on every call.
     """
     projector = _projector_for(points, family)
-    n = projector.n
-    k = family.k
-    for i in range(k):
-        count = projector.count_below(i, project(candidate, family[i]))
-        if heavy_threshold_exceeded(count, n, k):
-            return Verdict(False, family[i], count)
+    for orientation, count in _below_counts(projector, candidate):
+        if heavy_threshold_exceeded(count, projector.n, family.k):
+            return Verdict(False, orientation, count)
     return Verdict(True)
 
 
 def max_avoiding_count(
-    points: Sequence[Point], family: OrientationFamily, candidate: Point
+    points: Union[Sequence[Point], PointFile],
+    family: OrientationFamily,
+    candidate: Point,
 ) -> tuple[int, Orientation]:
     """The largest |C ∩ P| over family polytopes C avoiding ``candidate``.
 
@@ -308,15 +313,11 @@ def max_avoiding_count(
     a single halfspace cut just below the candidate along some orientation.
     Returns that count and the first orientation achieving it.
     """
-    projector = _Projector(points, family)
-    best = -1
-    best_orientation = family[0]
-    for i in range(family.k):
-        count = projector.count_below(i, project(candidate, family[i]))
-        if count > best:
-            best = count
-            best_orientation = family[i]
-    return best, best_orientation
+    orientation, count = max(
+        _below_counts(_projector_for(points, family), candidate),
+        key=lambda pair: pair[1],
+    )
+    return count, orientation
 
 
 def brute_force_max_avoiding(
@@ -345,9 +346,7 @@ def brute_force_max_avoiding(
     cost = n * k
     for grid in offset_grid:
         cost *= len(grid)
-    check_size_guard(
-        cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
-    )
+    check_size_guard(cost, budget)
     best = 0
     for offsets in itertools.product(*offset_grid):
         if all(candidate_proj[i] <= offsets[i] for i in range(k)):

@@ -26,8 +26,6 @@ from .errors import (
 )
 from .geometry import Point, heavy_threshold_exceeded
 
-BRUTE_FORCE_DEFAULT_BUDGET = 20_000_000
-
 _INCIDENCE_TOL = 1e-9
 
 
@@ -196,7 +194,7 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
     base = strong_centerpoint_pairwise(
         SetSystem(restricted.n, restricted.sets, 2)
     )
-    check_size_guard(system.k, BRUTE_FORCE_DEFAULT_BUDGET)
+    check_size_guard(system.k)
     ground = restricted.sets.index(tuple(range(restricted.n)))
     trace = (
         ((system.n, chosen),)
@@ -213,14 +211,12 @@ def brute_force_strong_centerpoints(
 ) -> list[int]:
     """All elements contained in every heavy set, ascending; [] means none.
 
-    With no heavy set every element qualifies. Independent of the
-    recursive solver by construction: one pass over set sizes, one
-    intersection, no restriction.
+    With no heavy set every element qualifies. Independent of the solver
+    by construction: one pass over set sizes, one intersection, no
+    restriction.
     """
     cost = system.n * max(1, len(system.sets))
-    check_size_guard(
-        cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
-    )
+    check_size_guard(cost, budget)
     heavy = _heavy_indices(system)
     if not heavy:
         return list(range(system.n))
@@ -253,9 +249,7 @@ def check_bounded_intersection(
         cost = sum(size * (m - 1 - i) for i, size in enumerate(sizes))
     else:
         cost = math.comb(m, k) * k * max(1, system.n)
-    check_size_guard(
-        cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
-    )
+    check_size_guard(cost, budget)
     members = [frozenset(s) for s in system.sets]
     for combo in itertools.combinations(range(m), k):
         common = members[combo[0]]
@@ -359,9 +353,7 @@ def hyperplane_system(
                 f"points[{index}] has dimension {p.dim}, expected {dim}"
             )
     cost = (math.comb(n, dim) + n * n) * max(n, 1)
-    check_size_guard(
-        cost, BRUTE_FORCE_DEFAULT_BUDGET if budget is None else budget
-    )
+    check_size_guard(cost, budget)
     if n <= dim:
         return SetSystem(n, (tuple(range(n)),), dim)
     coords = [p.coords for p in pts]

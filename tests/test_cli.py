@@ -10,6 +10,7 @@ from strongcenter import (
     compute_strong_centerpoint,
     render_plot,
     tightness_instance,
+    verify_strong_centerpoint,
 )
 from strongcenter import cli, polytope, setsystem
 from strongcenter.cli import main
@@ -461,7 +462,8 @@ def test_cli_contains_counts_match_per_point_loop(
     ]
 
 
-def test_cli_compute_builds_one_projector(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def built_projectors(monkeypatch):
     built = []
     original = polytope._Projector.__init__
 
@@ -470,11 +472,35 @@ def test_cli_compute_builds_one_projector(tmp_path, capsys, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(polytope._Projector, "__init__", counting_init)
+    return built
+
+
+def test_cli_compute_builds_one_projector(tmp_path, capsys, built_projectors):
     path = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
     code, out, _ = run(capsys, "compute", path, "--family", "axis-box")
     assert code == 0
     assert "verdict: ok" in out
-    assert len(built) == 1
+    assert len(built_projectors) == 1
+    svg = str(tmp_path / "out.svg")
+    code, _, _ = run(
+        capsys, "plot", path, "--family", "axis-box", "--svg", svg
+    )
+    assert code == 0
+    assert len(built_projectors) == 2
+
+
+def test_point_file_builds_one_projector_per_family(built_projectors):
+    point_file = parse_point_file("2 4\n0 0\n1 0\n2 0\n3 0\n")
+    family = axis_box_family(2)
+    cert = compute_strong_centerpoint(point_file, family)
+    for _ in range(5):
+        assert verify_strong_centerpoint(point_file, family, cert.point)
+    assert len(built_projectors) == 1
+    other = named_family("skyline", 2)
+    compute_strong_centerpoint(point_file, other)
+    verify_strong_centerpoint(point_file, other, cert.point)
+    verify_strong_centerpoint(point_file, family, cert.point)
+    assert len(built_projectors) == 2
 
 
 @pytest.mark.parametrize(

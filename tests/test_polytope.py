@@ -11,16 +11,16 @@ from strongcenter import (
     axis_box_family,
     brute_force_max_avoiding,
     compute_strong_centerpoint,
-    core_region,
     downward_triangle_family,
+    format_points,
     heavy_threshold_exceeded,
     max_avoiding_count,
+    parse_point_file,
     random_instance,
     selection_rank,
     tightness_instance,
     verify_strong_centerpoint,
 )
-from strongcenter.polytope import _Projector
 
 PM_X = OrientationFamily([Orientation(1, 0), Orientation(-1, 0)])
 COLLINEAR4 = [Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)]
@@ -166,8 +166,10 @@ def test_oracle_equivalence_small_instances():
 
 
 def test_core_region_examples():
-    assert core_region([Point(0, 0)], axis_box_family(2)) == [0]
-    assert core_region(COLLINEAR4, PM_X) == [1, 2]
+    cert = compute_strong_centerpoint([Point(0, 0)], axis_box_family(2))
+    assert cert.region_members == (0,)
+    cert = compute_strong_centerpoint(COLLINEAR4, PM_X)
+    assert cert.region_members == (1, 2)
 
 
 def test_core_region_circle_divisible_case():
@@ -177,7 +179,9 @@ def test_core_region_circle_divisible_case():
         Point(math.cos(2 * math.pi * j / 8), math.sin(2 * math.pi * j / 8))
         for j in range(8)
     ]
-    members = core_region(points, axis_box_family(2))
+    members = compute_strong_centerpoint(
+        points, axis_box_family(2)
+    ).region_members
     assert len(members) >= 4
 
 
@@ -342,11 +346,34 @@ def test_mixed_int_and_float_points_stay_exact():
     assert [h.offset for h in cert.halfspaces] == [2**53 + 3, -(2**53 + 3)]
 
 
-def test_projector_may_stand_in_for_points():
-    projector = _Projector(COLLINEAR4, PM_X)
-    cert = compute_strong_centerpoint(projector, PM_X)
+def test_point_file_may_stand_in_for_points():
+    point_file = parse_point_file(format_points(COLLINEAR4))
+    cert = compute_strong_centerpoint(point_file, PM_X)
     assert cert == compute_strong_centerpoint(COLLINEAR4, PM_X)
-    assert verify_strong_centerpoint(projector, PM_X, Point(3, 0)) == \
-        verify_strong_centerpoint(COLLINEAR4, PM_X, Point(3, 0))
-    with pytest.raises(ValueError):
-        verify_strong_centerpoint(projector, axis_box_family(2), Point(1, 0))
+    for candidate in (Point(1, 0), Point(3, 0)):
+        assert verify_strong_centerpoint(point_file, PM_X, candidate) == \
+            verify_strong_centerpoint(COLLINEAR4, PM_X, candidate)
+        assert max_avoiding_count(point_file, PM_X, candidate) == \
+            max_avoiding_count(COLLINEAR4, PM_X, candidate)
+    with pytest.raises(DimensionMismatchError):
+        verify_strong_centerpoint(
+            point_file, axis_box_family(3), Point(1, 0, 0)
+        )
+    assert len(point_file.projectors) == 1
+
+
+def test_point_file_projector_follows_direction_types():
+    # (1, 0) and (1.0, 0.0) compare equal, but only the integer family
+    # projects 2**53 + 1 exactly; a PointFile must not hand one family's
+    # projector to the other.
+    points = [Point(2**53 + 1, 0), Point(0, 0)]
+    point_file = parse_point_file(format_points(points))
+    exact = PM_X
+    rounded = OrientationFamily([Orientation(1.0, 0), Orientation(-1.0, 0)])
+    assert exact == rounded
+    for family in (exact, rounded, exact):
+        cert = compute_strong_centerpoint(point_file, family)
+        want = compute_strong_centerpoint(points, family)
+        assert [repr(h.offset) for h in cert.halfspaces] == \
+            [repr(h.offset) for h in want.halfspaces]
+    assert len(point_file.projectors) == 2

@@ -19,9 +19,12 @@ from strongcenter import (
     brute_force_max_avoiding,
     compute_strong_centerpoint,
     downward_triangle_family,
+    format_points,
     heavy_threshold_exceeded,
     kth_smallest,
     max_avoiding_count,
+    parse_point_file,
+    project,
     verify_strong_centerpoint,
 )
 
@@ -127,10 +130,24 @@ def test_verifier_matches_brute_force(case):
     points, family, candidate = case
     n, k = len(points), family.k
     exact = brute_force_max_avoiding(points, family, candidate)
-    count, _ = max_avoiding_count(points, family, candidate)
-    assert count == exact
+    most = max_avoiding_count(points, family, candidate)
+    assert most[0] == exact
     verdict = verify_strong_centerpoint(points, family, candidate)
     assert verdict.ok == (not heavy_threshold_exceeded(exact, n, k))
+    # the same case through a PointFile's int64, object, float64 or mixed
+    # columns
+    point_file = parse_point_file(format_points(points))
+    assert max_avoiding_count(point_file, family, candidate) == most
+    assert verify_strong_centerpoint(point_file, family, candidate) == verdict
+    counts = [
+        (o, sum(project(p, o) < project(candidate, o) for p in points))
+        for o in family
+    ]
+    first_max = next(c for c in counts if c[1] == exact)
+    assert most == (exact, first_max[0])
+    crossing = [c for c in counts if heavy_threshold_exceeded(c[1], n, k)]
+    witness = (verdict.witness_orientation, verdict.witness_count)
+    assert witness == (crossing[0] if crossing else (None, None))
 
 
 @settings(max_examples=300, deadline=None)
