@@ -265,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--candidate",
         required=True,
-        help="candidate coordinates, space separated, e.g. '1 0'",
+        help="candidate coordinates, space separated, e.g. '1 0'; write "
+        "a value starting with '-' as --candidate=-1e3",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

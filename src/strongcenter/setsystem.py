@@ -26,8 +26,6 @@ from .errors import (
 )
 from .geometry import Point, heavy_threshold_exceeded
 
-_INCIDENCE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SetSystem:
@@ -226,6 +224,22 @@ def brute_force_strong_centerpoints(
     return sorted(common)
 
 
+def _violates(members, combo) -> bool:
+    """Whether k >= 3 sets meet in two or more elements that no
+    leave-one-out sub-tuple already meets in."""
+    common = frozenset.intersection(*(members[i] for i in combo))
+    if len(common) <= 1:
+        return False
+    # equality with a sub-tuple of >= 2 sets implies equality with a
+    # leave-one-out intersection containing it, so checking those k
+    # (k-1)-tuples suffices
+    return all(
+        frozenset.intersection(*(members[i] for i in combo if i != skip))
+        != common
+        for skip in combo
+    )
+
+
 def check_bounded_intersection(
     system: SetSystem, budget: Optional[int] = None
 ) -> Optional[tuple]:
@@ -234,96 +248,71 @@ def check_bounded_intersection(
     A k-tuple passes when its common intersection has at most one element
     or equals the intersection of some proper sub-tuple of two or more of
     its sets; a single set is not an escape, so at order 2 any pair
-    sharing two elements violates, nested or not. Cost grows as
-    C(|sets|, k) * k * n, and at order 2 as the sum over pairs of the
-    smaller set's size, which is what a frozenset intersection walks;
-    guarded. Fewer than k sets pass vacuously.
+    sharing two elements violates, nested or not. Only sets that share an
+    element pair can violate, so the sets are indexed by the element pairs
+    they hold, Σ C(|S|, 2) insertions. At order 2 the answer is the
+    smallest first two sets of a pair group; at order k >= 3 the k-tuples
+    inside each pair group L are tested, Σ C(|L|, k) * k * n more. Both
+    costs are guarded. The lexicographically first violating tuple is
+    returned; fewer than k sets pass vacuously.
     """
-    m = len(system.sets)
     k = system.k
-    if m < k:
+    if len(system.sets) < k:
         return None
+    insertions = sum(math.comb(len(s), 2) for s in system.sets)
+    check_size_guard(insertions, budget)
+    groups: dict = {}
+    for index, s in enumerate(system.sets):
+        for pair in itertools.combinations(s, 2):
+            groups.setdefault(pair, []).append(index)
     if k == 2:
-        sizes = sorted(len(s) for s in system.sets)
-        # the i-th smallest set is the smaller one in m - 1 - i pairs
-        cost = sum(size * (m - 1 - i) for i, size in enumerate(sizes))
-    else:
-        cost = math.comb(m, k) * k * max(1, system.n)
-    check_size_guard(cost, budget)
+        return min(
+            ((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None
+        )
+    crowded = [g for g in groups.values() if len(g) >= k]
+    tuples = sum(math.comb(len(g), k) for g in crowded)
+    check_size_guard(insertions + tuples * k * system.n, budget)
     members = [frozenset(s) for s in system.sets]
-    for combo in itertools.combinations(range(m), k):
-        common = members[combo[0]]
-        for i in combo[1:]:
-            common = common & members[i]
-            if len(common) <= 1:
-                break
-        if len(common) <= 1:
-            continue
-        if k == 2:
-            return combo  # no sub-tuple of >= 2 sets exists to escape to
-        # equality with a sub-tuple of >= 2 sets implies equality with a
-        # leave-one-out intersection containing it, so checking those k
-        # (k-1)-tuples suffices
-        acceptable = False
-        for skip in range(k):
-            sub = None
-            for position, i in enumerate(combo):
-                if position == skip:
-                    continue
-                sub = members[i] if sub is None else sub & members[i]
-            if sub == common:
-                acceptable = True
-                break
-        if not acceptable:
-            return combo
-    return None
-
-
-def _subtract(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _all_int(*vectors) -> bool:
-    return all(
-        isinstance(x, int) and not isinstance(x, bool)
-        for v in vectors
-        for x in v
+    firsts = (
+        next(
+            (c for c in itertools.combinations(g, k) if _violates(members, c)),
+            None,
+        )
+        for g in crowded
     )
+    return min(filter(None, firsts), default=None)
 
 
-def _norm1(v) -> float:
-    return float(sum(abs(x) for x in v))
+def _integer_coords(points) -> list:
+    """Coordinates scaled by one common power of two into exact ints:
+    every finite float is an integer over a power of two."""
+    ratios = [[x.as_integer_ratio() for x in p.coords] for p in points]
+    scale = max(d for r in ratios for _, d in r)
+    return [tuple(num * (scale // d) for num, d in r) for r in ratios]
 
 
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _normal(span):
-    """Normal of the hyperplane through ``dim`` locations, or None if they
-    do not span one: two equal points, or three collinear ones."""
-    u = _subtract(span[1], span[0])
+def _flat_key(span):
+    """Canonical ``normal + (offset,)`` of the hyperplane through ``dim``
+    integer locations, the normal gcd-reduced with its first nonzero
+    component positive; None if they do not span one."""
+    anchor = span[0]
+    u = [x - y for x, y in zip(span[1], anchor)]
     if len(span) == 2:
-        return None if span[0] == span[1] else (-u[1], u[0])
-    v = _subtract(span[2], span[0])
-    normal = _cross3(u, v)
-    if _all_int(u, v):
-        return normal if any(normal) else None
-    if _norm1(normal) <= _INCIDENCE_TOL * max(_norm1(u) * _norm1(v), 1.0):
+        normal = (-u[1], u[0])
+    else:
+        v = [x - y for x, y in zip(span[2], anchor)]
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+    g = math.gcd(*normal)
+    if g == 0:
         return None
-    return normal
-
-
-def _on_plane(anchor, normal, t) -> bool:
-    v = _subtract(t, anchor)
-    dot = sum(nc * vc for nc, vc in zip(normal, v))
-    if _all_int(normal, v):
-        return dot == 0
-    return abs(dot) <= _INCIDENCE_TOL * max(_norm1(normal) * _norm1(v), 1.0)
+    if next(filter(None, normal)) < 0:
+        g = -g
+    normal = tuple(c // g for c in normal)
+    return normal + (sum(c * x for c, x in zip(normal, anchor)),)
 
 
 def hyperplane_system(
@@ -336,8 +325,12 @@ def hyperplane_system(
     ``dim``, matching how many such sets can share more than one point
     without sharing their whole flat. When n <= dim all points lie on one
     common hyperplane, so the system is the single set of all indices.
-    Incidence is exact for integer coordinates and tolerance-based (1e-9,
-    relative) for floats.
+    Incidence is exact, with no tolerance: all coordinates are scaled by
+    one common power of two into integers, so float points are incident
+    only when they lie on the hyperplane exactly. Each d-tuple of distinct
+    locations that spans a hyperplane is keyed by its canonical normal and
+    offset, and each set gathers the points at the locations of one key.
+    The C(n, d) spans are size-guarded.
     """
     if dim not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
@@ -352,23 +345,28 @@ def hyperplane_system(
             raise DimensionMismatchError(
                 f"points[{index}] has dimension {p.dim}, expected {dim}"
             )
-    cost = (math.comb(n, dim) + n * n) * max(n, 1)
-    check_size_guard(cost, budget)
+    check_size_guard(math.comb(n, dim), budget)
     if n <= dim:
         return SetSystem(n, (tuple(range(n)),), dim)
-    coords = [p.coords for p in pts]
-    found: set = set()
-    for span in itertools.combinations(coords, dim):
-        normal = _normal(span)
-        if normal is None:
+    at: dict = {}  # distinct location -> the indices of its points
+    for index, location in enumerate(_integer_coords(pts)):
+        at.setdefault(location, []).append(index)
+    locations = list(at)
+    flats: dict = {}
+    for span in itertools.combinations(range(len(locations)), dim):
+        key = _flat_key([locations[i] for i in span])
+        if key is None:
             continue
-        found.add(
-            frozenset(
-                t for t in range(n) if _on_plane(span[0], normal, coords[t])
-            )
-        )
-    sets = tuple(sorted(tuple(sorted(s)) for s in found))
-    return SetSystem(n, sets, dim)
+        # spans come in lexicographic order: a flat's first span starts at
+        # its lowest location, and the spans starting there cover the flat
+        members = flats.setdefault(key, [span[0]])
+        if members[0] == span[0]:
+            members.extend(span[1:])
+    ids = list(at.values())
+    sets = sorted(
+        tuple(sorted(i for j in set(m) for i in ids[j])) for m in flats.values()
+    )
+    return SetSystem(n, tuple(sets), dim)
 
 
 def format_set_system(system: SetSystem) -> str:

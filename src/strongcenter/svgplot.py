@@ -7,6 +7,8 @@ coordinates are written with two decimals.
 
 from __future__ import annotations
 
+import math
+
 from .polytope import CenterpointCertificate
 
 _WIDTH = 640.0
@@ -80,6 +82,15 @@ def _line_in_rect(ux, uy, offset, rect):
     )
 
 
+def _window(low: float, high: float, pad: float) -> tuple:
+    """The view interval ``[low - pad, high + pad]``. When ``pad`` is below
+    the float spacing at ``low == high`` (coordinates near 2**63, say) that
+    interval is empty, so the pad becomes one unit in the last place."""
+    if low - pad == high + pad:
+        pad = math.ulp(low)
+    return low - pad, high + pad
+
+
 def render_plot(points, certificate: CenterpointCertificate) -> str:
     """SVG document for a planar instance and its certificate."""
     if any(p.dim != 2 for p in points):
@@ -90,8 +101,8 @@ def render_plot(points, certificate: CenterpointCertificate) -> str:
     y_min, y_max = min(ys), max(ys)
     span = max(x_max - x_min, y_max - y_min)
     pad = 0.15 * span if span > 0 else 1.0
-    wx0, wx1 = x_min - pad, x_max + pad
-    wy0, wy1 = y_min - pad, y_max + pad
+    wx0, wx1 = _window(x_min, x_max, pad)
+    wy0, wy1 = _window(y_min, y_max, pad)
     scale = min(
         (_WIDTH - 2 * _MARGIN) / (wx1 - wx0),
         (_HEIGHT - 2 * _MARGIN) / (wy1 - wy0),

@@ -371,6 +371,39 @@ def test_cli_plot_rejects_non_planar_input(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # every coordinate rounds to 2**63 in float64: the box has no extent
+        "2 2\n9223372036854775796 9223372036854775797\n"
+        "9223372036854775803 9223372036854775790\n",
+        # y spans 1000, but a pad of 150 is below the float spacing of x
+        "2 2\n9223372036854775796 0\n9223372036854775803 1000\n",
+    ],
+)
+def test_cli_plot_degenerate_view_box(tmp_path, capsys, text):
+    path = write(tmp_path, "big.txt", text)
+    out_path = tmp_path / "big.svg"
+    code, _, err = run(
+        capsys, "plot", path, "--family", "axis-box", "--svg", str(out_path)
+    )
+    assert (code, err) == (0, "")
+    svg = out_path.read_text()
+    assert svg.startswith("<svg") and "nan" not in svg and "inf" not in svg
+
+
+def test_cli_verify_negative_candidate_with_equals_sign(tmp_path, capsys):
+    path = write(tmp_path, "p.txt", "1 3\n-5\n0\n5\n")
+    code, out, _ = run(
+        capsys, "verify", path, "--family", "axis-box", "--candidate=-1e3"
+    )
+    assert code == 1
+    assert "candidate: -1e3\n" in out
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--candidate=-1e3" in capsys.readouterr().out
+
+
 def test_cli_generate_tightness(tmp_path, capsys):
     out_path = tmp_path / "g.txt"
     code, out, _ = run(

@@ -4,9 +4,10 @@ import itertools
 import os
 import random
 import tempfile
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongcenter import (
@@ -317,24 +318,96 @@ def test_checker_random_plane_systems_pass():
 
 
 def test_checker_size_guard():
-    sets = tuple((i, 100 + i) for i in range(60))
-    system = SetSystem(200, sets, 4)
-    with pytest.raises(SizeGuardError):
+    # sets {0, 1, i}: 3 pair insertions each, and the pair (0, 1) groups
+    # all of them, so C(m, 4) * 4 * n more for the order-4 tuples
+    small = SetSystem(8, tuple((0, 1, i) for i in range(2, 8)), 4)
+    assert check_bounded_intersection(small, budget=498) is None
+    with pytest.raises(SizeGuardError, match="estimated cost 498 "):
+        check_bounded_intersection(small, budget=497)
+    # 60 sets: 180 + C(60, 4) * 4 * 200 under the default budget
+    system = SetSystem(200, tuple((0, 1, i) for i in range(2, 62)), 4)
+    with pytest.raises(SizeGuardError, match="estimated cost 390108180 "):
         check_bounded_intersection(system)
 
 
-def test_checker_order_two_guard_sums_smaller_set_sizes():
-    # C(700, 2) pairs of 2-element sets cost 489,300 set probes; the
-    # ground size n does not enter the order-2 estimate
+def test_checker_order_two_guard_counts_pair_insertions():
+    # 700 sets of two elements insert one element pair each; neither the
+    # ground size n nor the number of set pairs enters the estimate
     system = SetSystem(100_000, tuple((i, 50_000 + i) for i in range(700)), 2)
     assert check_bounded_intersection(system) is None
-    assert check_bounded_intersection(system, budget=489_300) is None
-    with pytest.raises(SizeGuardError, match="estimated cost 489300 "):
-        check_bounded_intersection(system, budget=489_299)
-    # sizes 1, 2, 3: the pairs cost min(1,2) + min(1,3) + min(2,3) = 4
+    assert check_bounded_intersection(system, budget=700) is None
+    with pytest.raises(SizeGuardError, match="estimated cost 700 "):
+        check_bounded_intersection(system, budget=699)
+    # sizes 1, 3, 2: C(1, 2) + C(3, 2) + C(2, 2) = 4 pair insertions
     mixed = SetSystem(6, ((5,), (0, 1, 2), (3, 4)), 2)
     with pytest.raises(SizeGuardError, match="estimated cost 4 "):
         check_bounded_intersection(mixed, budget=3)
+
+
+def scan_bounded_intersection(system):
+    """The first violating k-tuple by definition: every k-tuple in order,
+    escaping through any sub-tuple of two or more sets."""
+    members = [frozenset(s) for s in system.sets]
+    for combo in itertools.combinations(range(len(members)), system.k):
+        common = frozenset.intersection(*(members[i] for i in combo))
+        if len(common) <= 1:
+            continue
+        escapes = any(
+            frozenset.intersection(*(members[i] for i in sub)) == common
+            for size in range(2, system.k)
+            for sub in itertools.combinations(combo, size)
+        )
+        if not escapes:
+            return combo
+    return None
+
+
+@st.composite
+def small_set_systems(draw):
+    """Up to 8 sets over n <= 9 at orders 2-4. Some sets are drawn inside
+    earlier ones (nested sets) and some miss at most two elements of the
+    ground set (many shared element pairs, and violations at orders 3
+    and 4)."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(2, 4))
+    ground = frozenset(range(n))
+    sets = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["any", "inside", "most", "most"]))
+        if kind == "most":
+            missing = st.frozensets(
+                st.sampled_from(sorted(ground)), min_size=1, max_size=2
+            )
+            sets.append(ground - draw(missing) or ground)
+            continue
+        if kind == "inside" and sets:
+            pool = sorted(draw(st.sampled_from(sets)))
+        else:
+            pool = sorted(ground)
+        sets.append(draw(st.frozensets(st.sampled_from(pool), min_size=1)))
+    return SetSystem.from_sets(n, sets, k)
+
+
+@settings(max_examples=300)
+@given(small_set_systems())
+@example(SetSystem(5, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)), 3))
+@example(SetSystem(6, ((0, 1, 2, 3), (0, 1, 4), (0, 1, 5)), 3))
+@example(SetSystem(7, tuple(tuple(set(range(7)) - {i}) for i in range(5)), 4))
+@example(SetSystem(4, ((0, 1, 2, 3), (0, 1, 2), (0, 1), (1, 2, 3)), 2))
+def test_checker_matches_combinations_scan(system):
+    expected = scan_bounded_intersection(system)
+    assert check_bounded_intersection(system) == expected
+
+
+def test_checker_takes_large_line_system_under_default_budget(monkeypatch):
+    monkeypatch.delenv("SC_SIZE_GUARD", raising=False)
+    rng = random.Random(200)
+    coords = set()
+    while len(coords) < 200:
+        coords.add((rng.randint(0, 1000), rng.randint(0, 1000)))
+    system = hyperplane_system([Point(c) for c in sorted(coords)], 2)
+    assert len(system.sets) > 19_000
+    assert check_bounded_intersection(system) is None
 
 
 # ------------------------------------------------------------- hyperplanes
@@ -483,6 +556,63 @@ def test_hyperplane_system_matches_exact_definition(case):
     system = hyperplane_system([Point(c) for c in coords], dim)
     assert (system.n, system.k) == (len(coords), dim)
     assert system.sets == exact_hyperplane_sets(coords, dim)
+
+
+@given(small_int_points())
+def test_hyperplane_float_twins_give_the_integer_system(case):
+    dim, coords = case
+    exact = hyperplane_system([Point(c) for c in coords], dim)
+    for scale in (1.0, 0.25):
+        twins = [Point(tuple(x * scale for x in c)) for c in coords]
+        assert hyperplane_system(twins, dim) == exact
+
+
+MIXED_COORDINATES = [
+    0, 1, -1, 2, 0.0, -0.0, 0.5, -1.5, 0.25, 2.0**-60,
+    2**53, 2**53 + 1, -(2**53) - 3, 2.0**53, 2**64 + 1, 1e300,
+]
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(
+                st.tuples(*[st.sampled_from(MIXED_COORDINATES)] * dim),
+                min_size=1,
+                max_size=7,
+            ),
+        )
+    )
+)
+def test_hyperplane_system_is_exact_on_mixed_input(case):
+    dim, coords = case
+    system = hyperplane_system([Point(c) for c in coords], dim)
+    rational = [tuple(Fraction(x) for x in c) for c in coords]
+    assert system.sets == exact_hyperplane_sets(rational, dim)
+
+
+def test_hyperplane_near_collinear_floats_are_not_incident():
+    # 1e-12 off the line (or plane) of the others: no tolerance merges them
+    points = [Point(0, 0), Point(1, 0), Point(2, 1e-12)]
+    assert hyperplane_system(points, 2).sets == ((0, 1), (0, 2), (1, 2))
+    points = [
+        Point(0, 0, 0), Point(1, 0, 0), Point(0, 1, 0), Point(1.0, 1.0, 1e-12)
+    ]
+    assert hyperplane_system(points, 3).sets == (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+    )
+
+
+def test_hyperplane_big_integers_mixed_with_floats_stay_exact():
+    # 2**53 + 1 rounds to 2**53 in float64, which would put point 2 on the
+    # line through points 0, 1 and 3
+    big = 2**53
+    points = [
+        Point(0.0, 0.0), Point(big, 1), Point(big + 1, 1), Point(0.5, 2.0**-54)
+    ]
+    sets = ((0, 1, 3), (0, 2), (1, 2), (2, 3))
+    assert hyperplane_system(points, 2).sets == sets
 
 
 def test_restriction_keeps_property_on_line_systems():
