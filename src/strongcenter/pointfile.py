@@ -11,7 +11,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .geometry import Point
 
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
 # Text made of these bytes alone holds only tokens of the characters 0-9+-,
-# which int() reads exactly as parse_number does whenever it accepts them.
+# which numpy's int64 reader reads as parse_number does when it accepts them.
 _PLAIN_INT_BYTES = (
     "0123456789+-" + "".join(c for c in map(chr, range(128)) if c.isspace())
 ).encode("ascii")
@@ -106,20 +105,21 @@ def parse_point_file(text: str) -> PointFile:
 
 
 def _int64_columns(text: str, body: list, dim: int):
-    """int64 columns converted in one pass, or None unless every token is
-    made of the characters 0-9+- and every row is well formed and fits."""
+    """int64 columns from numpy's C text reader, or None unless every token
+    is made of the characters 0-9+- and every row is well formed and fits.
+    The reader skips blank rows, so its result counts only when it holds
+    ``dim`` values for each body line."""
     if not text.isascii() or text.encode("ascii").translate(
         None, _PLAIN_INT_BYTES
     ):
         return None
-    if set(map(len, map(str.split, body))) != {dim}:
-        return None
-    tokens = chain.from_iterable(map(str.split, body))
     try:
-        flat = np.fromiter(map(int, tokens), np.int64, count=len(body) * dim)
+        flat = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
     except (OverflowError, ValueError):
         return None
-    return tuple(flat.reshape(-1, dim).T.copy())
+    if flat.shape != (len(body), dim):
+        return None
+    return tuple(flat.T.copy())
 
 
 def _parsed_columns(body: list, dim: int) -> tuple:

@@ -69,7 +69,7 @@ def point_files(draw):
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(1, 8))
     tokens = TOKEN_KINDS[draw(st.sampled_from(sorted(TOKEN_KINDS)))]
-    spaces = st.sampled_from([" ", "  ", "\t", " \t "])
+    spaces = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f"])
     edges = st.sampled_from(["", "", " ", "\t"])
     rows = []
     for _ in range(n):
@@ -110,6 +110,38 @@ def test_columnar_parser_matches_per_token_oracle(case):
         assert isinstance(column, np.ndarray) == plain
         if plain:
             assert column.dtype == np.int64
+
+
+def test_blank_middle_row_keeps_the_line_numbered_error():
+    # numpy's reader skips blank rows; the row count sends these files to
+    # the token-by-token parser, which names the blank line
+    for text in ("2 3\n1 2\n\n3 4\n", "2 3\n1 2\n \t\n3 4\n"):
+        with pytest.raises(ParseError) as raised:
+            parse_point_file(text)
+        assert str(raised.value) == "line 3: expected 2 coordinates, got 0"
+
+
+# more rows than the 50,000 that numpy's reader converts per chunk
+@pytest.mark.parametrize(
+    "token, fits", [("-0012", True), (str(INT64_MAX + 1), False)]
+)
+def test_file_longer_than_one_reader_chunk(token, fits):
+    # int64 extremes, signs, leading zeros and tabs; ``token`` on row 50,001
+    values = np.random.default_rng(8).integers(
+        INT64_MIN, INT64_MAX, (50_003, 2), endpoint=True
+    )
+    values[:4] = [[INT64_MIN, INT64_MAX], [0, -1], [1, 0], [INT64_MAX, 7]]
+    rows = [f"{a:+d}\t{b:+023d}" if i % 2 else f"\t{a} \t{b:024d}"
+            for i, (a, b) in enumerate(values.tolist())]
+    rows[50_000] = f"{token} 5"
+    parsed = parse_point_file(f"2 {len(rows)}\n" + "\n".join(rows) + "\n")
+    values = oracle_values(rows)
+    for j, column in enumerate(parsed.columns):
+        assert isinstance(column, np.ndarray) == fits
+        if fits:
+            assert column.dtype == np.int64
+            column = column.tolist()
+        assert typed(column) == typed([v[j] for v in values])
 
 
 def test_token_grammar():
