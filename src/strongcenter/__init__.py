@@ -9,7 +9,6 @@ generators for the matching extremal instances.
 """
 
 from .errors import (
-    BoundedIntersectionError,
     DimensionMismatchError,
     ParseError,
     SizeGuardError,
@@ -69,7 +68,6 @@ from .setsystem import (
     parse_set_system,
     restrict,
     strong_centerpoint,
-    strong_centerpoint_pairwise,
 )
 from .svgplot import render_plot
 
@@ -77,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractResult",
-    "BoundedIntersectionError",
     "CenterpointCertificate",
     "DEGENERATE_KINDS",
     "DIRECTION_TOL",
@@ -123,7 +120,6 @@ __all__ = [
     "selection_rank",
     "skyline_family",
     "strong_centerpoint",
-    "strong_centerpoint_pairwise",
     "tightness_instance",
     "verify_strong_centerpoint",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 negative verdict (verification failure, oracle
 disagreement, or no centerpoint), 2 unreadable or malformed input, 3
-dimension mismatch, 4 bounded-intersection property violation.
+dimension mismatch, 4 bounded-intersection property violation found by
+``abstract --check``.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ import argparse
 import sys
 import time
 
-from .errors import (
-    BoundedIntersectionError,
-    DimensionMismatchError,
-    ParseError,
-    SizeGuardError,
-)
+from .errors import DimensionMismatchError, ParseError, SizeGuardError
 from .families import FAMILY_NAMES, named_family
 from .generators import (
     DEGENERATE_KINDS,
@@ -335,9 +331,6 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except BoundedIntersectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
     except (SizeGuardError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,10 +17,6 @@ class SizeGuardError(RuntimeError):
     """A brute-force operation would exceed its cost budget."""
 
 
-class BoundedIntersectionError(ValueError):
-    """A set system violates the bounded-intersection property it claims."""
-
-
 SIZE_GUARD_ENV = "SC_SIZE_GUARD"
 DEFAULT_BUDGET = 20_000_000
 

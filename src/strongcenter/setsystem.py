@@ -2,13 +2,15 @@
 
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
-of them. The solver restricts once to the largest heavy set, which then
-is the whole ground set and stays the largest heavy set at every lower
-order, so the levels down to order 2 change nothing but the order. The
-pairwise (order 2) base intersects all heavy sets directly and reports an
-explicit witness, indexed in the once-restricted system, when no common
-element survives. The brute-force oracle intersects heavy sets with no
-restriction at all and stays the independent route for tests.
+of them. The solver intersects the input's heavy sets, and at order
+k >= 3 restricts once to the largest heavy set, which then is the whole
+ground set and stays the largest heavy set at every lower order, so the
+levels down to order 2 change nothing but the order. It prefers the
+common elements of the restricted sets heavy at order 2, which lie inside
+the input's heavy intersection, and falls back to that intersection; when
+both are empty its witness names the input's heavy sets. The brute-force
+oracle intersects heavy sets with no restriction at all and stays the
+independent route for tests.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import (
-    BoundedIntersectionError,
-    DimensionMismatchError,
-    ParseError,
-    check_size_guard,
-)
+from .errors import DimensionMismatchError, ParseError, check_size_guard
 from .geometry import Point, heavy_threshold_exceeded
 
 
@@ -89,8 +86,8 @@ class AbstractResult:
     """Solver outcome: an element of every heavy set, or a witness there is none.
 
     ``element`` is the found ground id, or None. On failure ``witness``
-    lists heavy set indices whose common intersection is empty, indexed in
-    the once-restricted system (in the input itself at order 2).
+    lists the input's heavy set indices, whose common intersection is
+    empty.
     ``trace`` records one (ground size, chosen set index) pair per order
     from k down to 2; the chosen index is None at the base level.
     """
@@ -110,39 +107,6 @@ def _heavy_indices(system: SetSystem) -> list[int]:
         for i, s in enumerate(system.sets)
         if heavy_threshold_exceeded(len(s), system.n, system.k)
     ]
-
-
-def strong_centerpoint_pairwise(system: SetSystem) -> AbstractResult:
-    """Solve an order-2 system by intersecting all of its heavy sets.
-
-    Heavy sets pairwise share at most one element unless one contains the
-    other (the nested escape is what restriction from higher orders can
-    produce); a heavy pair sharing two or more elements without nesting is
-    a property violation and raises. With no heavy set, element 0 wins
-    vacuously. An empty common intersection is a genuine no-centerpoint
-    outcome, witnessed by the heavy set indices.
-    """
-    if system.k != 2:
-        raise ValueError(f"pairwise solver needs order 2, got {system.k}")
-    heavy = _heavy_indices(system)
-    trace = ((system.n, None),)
-    if not heavy:
-        return AbstractResult(0, None, trace)
-    members = [frozenset(system.sets[i]) for i in heavy]
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            shared = members[a] & members[b]
-            if len(shared) > 1 and not (
-                members[a] <= members[b] or members[b] <= members[a]
-            ):
-                raise BoundedIntersectionError(
-                    f"heavy sets {heavy[a]} and {heavy[b]} share "
-                    f"{len(shared)} elements"
-                )
-    common = frozenset.intersection(*members)
-    if common:
-        return AbstractResult(min(common), None, trace)
-    return AbstractResult(None, tuple(heavy), trace)
 
 
 def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
@@ -172,36 +136,51 @@ def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
 def strong_centerpoint(system: SetSystem) -> AbstractResult:
     """Find an element contained in every heavy set of the system.
 
-    Restricts once to the largest heavy set (ties to the lowest index).
-    The chosen set becomes the whole restricted ground set, the unique
-    largest set and heavy at every order, so each level from k - 1 down
-    to 3 would restrict to it again and change only the order. The
-    restricted sets go straight to the pairwise base, and the trace
-    repeats the ground set's index once per skipped level; it has k - 1
-    entries, so the order is size-guarded. A success maps home through
-    the recorded ground ids; a no-centerpoint witness stays in the
-    restricted system's indexing.
+    ``common`` is the intersection of the input's heavy sets. At order
+    k >= 3 the system is restricted once to the largest heavy set (ties
+    to the lowest index). The chosen set becomes the whole restricted
+    ground set, the unique largest set and heavy at every order, so each
+    level from k - 1 down to 3 would restrict to it again and change only
+    the order; the trace repeats the ground set's index once per skipped
+    level and has k - 1 entries, so the order is size-guarded. The
+    restricted sets heavy at order 2 meet in ``deeper``, mapped home
+    through the recorded ground ids. Each input heavy set S is heavy at
+    order 2 once restricted to the chosen set C, since
+    |S ∩ C| > |C| - n/k >= |C|/2 when k >= 3, so ``deeper`` lies inside
+    ``common``. The smallest element of ``deeper`` wins, else that of
+    ``common``; with neither, the witness lists the input's heavy set
+    indices. The bounded-intersection property is not re-checked, and
+    nothing but the order's size guard raises.
     """
-    if system.k == 2:
-        return strong_centerpoint_pairwise(system)
     heavy = _heavy_indices(system)
     if not heavy:
         return AbstractResult(0, None, ((system.n, None),))
-    chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
-    restricted, back_ids = restrict(system, chosen)
-    base = strong_centerpoint_pairwise(
-        SetSystem(restricted.n, restricted.sets, 2)
+    common = frozenset.intersection(
+        *(frozenset(system.sets[i]) for i in heavy)
     )
-    check_size_guard(system.k)
-    ground = restricted.sets.index(tuple(range(restricted.n)))
-    trace = (
-        ((system.n, chosen),)
-        + ((restricted.n, ground),) * (system.k - 3)
-        + base.trace
-    )
-    if base.element is None:
-        return AbstractResult(None, base.witness, trace)
-    return AbstractResult(back_ids[base.element], None, trace)
+    trace = ((system.n, None),)
+    deeper = frozenset()
+    if system.k > 2:
+        chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
+        restricted, back_ids = restrict(system, chosen)
+        check_size_guard(system.k)
+        ground = restricted.sets.index(tuple(range(restricted.n)))
+        trace = (
+            ((system.n, chosen),)
+            + ((restricted.n, ground),) * (system.k - 3)
+            + ((restricted.n, None),)
+        )
+        deeper = frozenset.intersection(
+            *(
+                frozenset(back_ids[e] for e in s)
+                for s in restricted.sets
+                if heavy_threshold_exceeded(len(s), restricted.n, 2)
+            )
+        )
+    elements = deeper or common
+    if elements:
+        return AbstractResult(min(elements), None, trace)
+    return AbstractResult(None, tuple(heavy), trace)
 
 
 def brute_force_strong_centerpoints(

@@ -253,6 +253,28 @@ def test_cli_abstract_oracle_agreement(tmp_path, capsys):
     assert "chose-set: 0" in out
 
 
+@pytest.mark.parametrize(
+    "text, element",
+    [
+        # the order-2 images of light sets share two elements
+        ("5 3\n0 1 2 3 4\n1 2 3\n2 3 4\n", 2),
+        # the restricted heavy sets meet in nothing: the input's heavy
+        # intersection {0, 3} answers
+        ("4 3\n0 2 3\n0 2\n2 3\n0\n0 1 3\n2\n", 0),
+        ("4 3\n0 1 3\n0 1 2 3\n0 1 2\n", 0),
+    ],
+)
+def test_cli_abstract_checked_systems_agree_with_oracle(
+    tmp_path, capsys, text, element
+):
+    path = write(tmp_path, "s.txt", text)
+    code, out, err = run(capsys, "abstract", path, "--check", "--oracle")
+    assert (code, err) == (0, "")
+    assert "property: ok\n" in out
+    assert f"\nelement: {element}\n" in out
+    assert "oracle: agree\n" in out
+
+
 def test_cli_abstract_check_violation_exits_4(tmp_path, capsys):
     path = write(tmp_path, "s.txt", "4 2\n1 2\n1 2 3\n")
     code, out, _ = run(capsys, "abstract", path, "--check")

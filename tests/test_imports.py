@@ -1,4 +1,5 @@
-"""Package layout: no module reaches into another module's private names."""
+"""Package layout: no module reaches into another module's private names,
+and every public name resolves."""
 
 import ast
 from pathlib import Path
@@ -20,3 +21,9 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_public_names_resolve_once():
+    names = strongcenter.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(strongcenter, name)] == []

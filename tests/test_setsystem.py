@@ -7,11 +7,10 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongcenter import (
-    BoundedIntersectionError,
     ParseError,
     Point,
     SetSystem,
@@ -19,11 +18,11 @@ from strongcenter import (
     brute_force_strong_centerpoints,
     check_bounded_intersection,
     format_set_system,
+    heavy_threshold_exceeded,
     hyperplane_system,
     parse_set_system,
     restrict,
     strong_centerpoint,
-    strong_centerpoint_pairwise,
 )
 from strongcenter.cli import main
 
@@ -63,12 +62,12 @@ def test_from_sets_canonicalizes():
     assert system.sets == ((0, 2), (1, 3))
 
 
-# ----------------------------------------------------------- pairwise base
+# ---------------------------------------------------------- order 2 (pairs)
 
 
 def test_pairwise_single_heavy_set():
     system = SetSystem(4, ((0, 1, 2), (2, 3), (0, 3)), 2)
-    result = strong_centerpoint_pairwise(system)
+    result = strong_centerpoint(system)
     assert result.element == 0
     assert result.found
     assert result.trace == ((4, None),)
@@ -78,13 +77,13 @@ def test_pairwise_single_heavy_set():
 
 def test_pairwise_two_heavy_sets_share_one_element():
     system = SetSystem(5, ((0, 1, 2), (2, 3, 4)), 2)
-    result = strong_centerpoint_pairwise(system)
+    result = strong_centerpoint(system)
     assert result.element == 2
     assert brute_force_strong_centerpoints(system) == [2]
 
 
 def test_pairwise_three_lines_has_no_centerpoint():
-    result = strong_centerpoint_pairwise(THREE_LINES)
+    result = strong_centerpoint(THREE_LINES)
     assert not result.found
     assert result.element is None
     assert result.witness == (0, 1, 2)
@@ -93,27 +92,23 @@ def test_pairwise_three_lines_has_no_centerpoint():
 
 def test_pairwise_no_heavy_sets_returns_lowest_id():
     system = SetSystem(6, ((0, 1), (2, 3), (4, 5)), 2)
-    result = strong_centerpoint_pairwise(system)
+    result = strong_centerpoint(system)
     assert result.element == 0
 
 
-def test_pairwise_rejects_wrong_order():
-    with pytest.raises(ValueError):
-        strong_centerpoint_pairwise(SetSystem(4, ((0, 1),), 3))
-
-
-def test_pairwise_detects_violated_intersection_lazily():
-    # two non-nested heavy sets sharing two elements break the k=2 bound
+def test_pairwise_solver_leaves_the_property_to_the_checker():
+    # two non-nested heavy sets sharing two elements break the k=2 bound;
+    # only check_bounded_intersection reports that, the solver answers
     system = SetSystem(5, ((0, 1, 2, 3), (0, 1, 4)), 2)
-    with pytest.raises(BoundedIntersectionError):
-        strong_centerpoint_pairwise(system)
+    assert strong_centerpoint(system).element == 0
+    assert check_bounded_intersection(system) == (0, 1)
 
 
 def test_pairwise_accepts_nested_heavy_sets():
     # a nested pair is an intersection achieved by the single larger set,
     # which restriction from higher orders produces routinely
     system = SetSystem(4, ((0, 1, 2, 3), (0, 1, 2)), 2)
-    result = strong_centerpoint_pairwise(system)
+    result = strong_centerpoint(system)
     assert result.element == 0
 
 
@@ -241,17 +236,10 @@ def test_solver_matches_oracle_on_random_small_systems():
         if check_bounded_intersection(system) is not None:
             continue
         oracle = brute_force_strong_centerpoints(system)
-        try:
-            result = strong_centerpoint(system)
-        except BoundedIntersectionError:
-            # random sets may violate the assumed property only at a
-            # nested level the top-order checker cannot see
-            continue
+        result = strong_centerpoint(system)
         if result.found:
             assert result.element in oracle
-        # a NoCenterpoint from a deep level reflects the restricted
-        # system; only the top level is compared against the oracle
-        elif len(result.trace) == 1:
+        else:
             assert oracle == []
 
 
@@ -397,6 +385,39 @@ def small_set_systems(draw):
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     assert check_bounded_intersection(system) == expected
+
+
+@settings(max_examples=300)
+@given(small_set_systems())
+@example(parse_set_system("5 3\n0 1 2 3 4\n1 2 3\n2 3 4\n"))
+@example(parse_set_system("4 3\n0 2 3\n0 2\n2 3\n0\n0 1 3\n2\n"))
+@example(parse_set_system("4 3\n0 1 3\n0 1 2 3\n0 1 2\n"))
+@example(THREE_LINES)
+def test_solver_matches_oracle_on_checked_systems(system):
+    assume(check_bounded_intersection(system) is None)
+    oracle = brute_force_strong_centerpoints(system)
+    result = strong_centerpoint(system)
+    assert result.found == bool(oracle)
+    if result.found:
+        assert result.element in oracle
+        assert result.witness is None
+    else:
+        heavy = tuple(
+            i
+            for i, s in enumerate(system.sets)
+            if heavy_threshold_exceeded(len(s), system.n, system.k)
+        )
+        assert result.witness == heavy
+
+
+def test_solver_prefers_restricted_level_over_smallest_oracle_element():
+    # the oracle's smallest element is 0, but the restricted sets heavy at
+    # order 2 meet only in 1 and 2; preferring them is what keeps the
+    # answer on the planted flat of perfbench's abstract-planted systems,
+    # where the smallest oracle element can lie off it
+    system = parse_set_system("3 3\n0 1 2\n1 2\n")
+    assert brute_force_strong_centerpoints(system) == [0, 1, 2]
+    assert strong_centerpoint(system).element == 1
 
 
 def test_checker_takes_large_line_system_under_default_budget(monkeypatch):
@@ -730,8 +751,8 @@ def test_cli_abstract_maps_corrupted_files_to_exit_codes(data):
     if out.getvalue():
         assert "\nmode: abstract\n" in out.getvalue()
     else:
-        # malformed input, or a violation the solver meets unchecked
-        assert code in (2, 4)
+        # only malformed input goes without a report
+        assert code == 2
         assert err.getvalue().startswith("error: ")
 
 
