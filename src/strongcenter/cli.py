@@ -186,7 +186,7 @@ def _cmd_abstract(args) -> int:
                     "oracle-elements", " ".join(str(e) for e in oracle)
                 )
         else:
-            report.add("oracle", "skipped")
+            report.add("oracle", f"skipped (n > {_ORACLE_CAP})")
     sys.stdout.write(report.render(_elapsed_ms(start)))
     if not result.found or not agree:
         return EXIT_NEGATIVE

@@ -151,7 +151,7 @@ def same_direction(a: Orientation, b: Orientation, tol: float = 0.0) -> bool:
         )
     if a.direction == b.direction:
         return True
-    if tol <= 0.0 or (a.is_integral and b.is_integral):
+    if a.is_integral and b.is_integral:
         return False
     ua, ub = a.unit(), b.unit()
     dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(ua, ub)))

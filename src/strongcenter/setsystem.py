@@ -88,8 +88,9 @@ class AbstractResult:
     ``element`` is the found ground id, or None. On failure ``witness``
     lists the input's heavy set indices, whose common intersection is
     empty.
-    ``trace`` records one (ground size, chosen set index) pair per order
-    from k down to 2; the chosen index is None at the base level.
+    ``trace`` records one (ground size, chosen set index) pair per level
+    the solver visits: the input and, when it restricts, the restricted
+    system; the chosen index is None at the last level.
     """
 
     element: Optional[int]
@@ -141,16 +142,16 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
     to the lowest index). The chosen set becomes the whole restricted
     ground set, the unique largest set and heavy at every order, so each
     level from k - 1 down to 3 would restrict to it again and change only
-    the order; the trace repeats the ground set's index once per skipped
-    level and has k - 1 entries, so the order is size-guarded. The
-    restricted sets heavy at order 2 meet in ``deeper``, mapped home
-    through the recorded ground ids. Each input heavy set S is heavy at
-    order 2 once restricted to the chosen set C, since
+    the order; the trace skips those levels and reads
+    ``((n, chosen), (|C|, None))``, or ``((n, None),)`` when nothing is
+    restricted. The restricted sets heavy at order 2 meet in ``deeper``,
+    mapped home through the recorded ground ids. Each input heavy set S
+    is heavy at order 2 once restricted to the chosen set C, since
     |S ∩ C| > |C| - n/k >= |C|/2 when k >= 3, so ``deeper`` lies inside
     ``common``. The smallest element of ``deeper`` wins, else that of
     ``common``; with neither, the witness lists the input's heavy set
-    indices. The bounded-intersection property is not re-checked, and
-    nothing but the order's size guard raises.
+    indices. The bounded-intersection property is not re-checked and
+    nothing raises; the cost is O(Σ|S|) at every order.
     """
     heavy = _heavy_indices(system)
     if not heavy:
@@ -163,13 +164,7 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
     if system.k > 2:
         chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
         restricted, back_ids = restrict(system, chosen)
-        check_size_guard(system.k)
-        ground = restricted.sets.index(tuple(range(restricted.n)))
-        trace = (
-            ((system.n, chosen),)
-            + ((restricted.n, ground),) * (system.k - 3)
-            + ((restricted.n, None),)
-        )
+        trace = ((system.n, chosen), (restricted.n, None))
         deeper = frozenset.intersection(
             *(
                 frozenset(back_ids[e] for e in s)
@@ -219,6 +214,17 @@ def _violates(members, combo) -> bool:
     )
 
 
+def _one_core(members, group) -> bool:
+    """Whether the sets of ``group`` all meet pairwise in one common core:
+    each holds the first two sets' intersection, and their parts outside
+    it are pairwise disjoint. Linear in the group's total set size."""
+    core = members[group[0]] & members[group[1]]
+    if not all(core <= members[i] for i in group):
+        return False
+    outside = [members[i] - core for i in group]
+    return len(frozenset().union(*outside)) == sum(map(len, outside))
+
+
 def check_bounded_intersection(
     system: SetSystem, budget: Optional[int] = None
 ) -> Optional[tuple]:
@@ -230,10 +236,13 @@ def check_bounded_intersection(
     sharing two elements violates, nested or not. Only sets that share an
     element pair can violate, so the sets are indexed by the element pairs
     they hold, Σ C(|S|, 2) insertions. At order 2 the answer is the
-    smallest first two sets of a pair group; at order k >= 3 the k-tuples
-    inside each pair group L are tested, Σ C(|L|, k) * k * n more. Both
-    costs are guarded. The lexicographically first violating tuple is
-    returned; fewer than k sets pass vacuously.
+    smallest first two sets of a pair group. At order k >= 3 a pair group
+    L of at least k sets passes when its sets all meet pairwise in one
+    core, as every k-tuple then meets in a pair's intersection; that test
+    costs Σ_{S in L} |S|. The k-tuples inside every other group are
+    tested, Σ C(|L|, k) * k * n more. All three costs are guarded. The
+    lexicographically first violating tuple is returned; fewer than k
+    sets pass vacuously.
     """
     k = system.k
     if len(system.sets) < k:
@@ -249,9 +258,12 @@ def check_bounded_intersection(
             ((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None
         )
     crowded = [g for g in groups.values() if len(g) >= k]
-    tuples = sum(math.comb(len(g), k) for g in crowded)
-    check_size_guard(insertions + tuples * k * system.n, budget)
+    cost = insertions + sum(len(system.sets[i]) for g in crowded for i in g)
+    check_size_guard(cost, budget)
     members = [frozenset(s) for s in system.sets]
+    crowded = [g for g in crowded if not _one_core(members, g)]
+    tuples = sum(math.comb(len(g), k) for g in crowded)
+    check_size_guard(cost + tuples * k * system.n, budget)
     firsts = (
         next(
             (c for c in itertools.combinations(g, k) if _violates(members, c)),

@@ -84,6 +84,17 @@ def test_same_direction_tolerance():
     assert not same_direction(a, Orientation(-1.0, 0.0), tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "exact, unit",
+    [((1, 1), (0.5, 0.5)), ((1, 2), (0.5, 1.0)), ((3, 4), (0.6, 0.8))],
+)
+def test_family_rejects_integer_and_float_multiples(exact, unit):
+    # the float direction's unit vector equals the integer one's bitwise
+    assert same_direction(Orientation(exact), Orientation(unit))
+    with pytest.raises(ValueError):
+        OrientationFamily([Orientation(exact), Orientation(unit)])
+
+
 def test_family_rejects_duplicates_and_mixed_dimension():
     with pytest.raises(ValueError):
         OrientationFamily([Orientation(1, 0), Orientation(2, 0)])

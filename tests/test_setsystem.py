@@ -163,22 +163,21 @@ def test_general_order_hand_trace():
 
 
 def test_general_order_restricts_once_at_deep_order():
-    # every level below the first restricts to the whole ground set, so
-    # the trace repeats it; an order this deep once overflowed the stack
-    result = strong_centerpoint(SetSystem(1, ((0,),), 5000))
+    # every level below the first would restrict to the whole ground set,
+    # so the trace skips them, however deep the order
+    result = strong_centerpoint(SetSystem(1, ((0,),), 10**12))
     assert result.element == 0
-    assert len(result.trace) == 4999
-    assert result.trace[0] == result.trace[-2] == (1, 0)
-    assert result.trace[-1] == (1, None)
+    assert result.trace == ((1, 0), (1, None))
 
 
-def test_general_order_trace_names_ground_set_at_each_skipped_level():
-    # set 0 survives restriction as {6}, so the restricted ground set
-    # sits at index 1 at each skipped level
+def test_general_order_trace_skips_levels_that_only_lower_the_order():
+    # set 1 is chosen and becomes the restricted ground set, which sits
+    # at index 1 (set 0 survives as {6}); the levels from order 4 down to
+    # 3 would restrict to it again, so the trace goes straight to the last
     system = SetSystem(7, ((0, 6), (1, 2, 3, 4, 5, 6), (0, 1)), 5)
     result = strong_centerpoint(system)
     assert result.element == 1
-    assert result.trace == ((7, 1), (6, 1), (6, 1), (6, None))
+    assert result.trace == ((7, 1), (6, None))
 
 
 def test_general_order_no_heavy_sets():
@@ -306,16 +305,39 @@ def test_checker_random_plane_systems_pass():
 
 
 def test_checker_size_guard():
-    # sets {0, 1, i}: 3 pair insertions each, and the pair (0, 1) groups
-    # all of them, so C(m, 4) * 4 * n more for the order-4 tuples
-    small = SetSystem(8, tuple((0, 1, i) for i in range(2, 8)), 4)
-    assert check_bounded_intersection(small, budget=498) is None
-    with pytest.raises(SizeGuardError, match="estimated cost 498 "):
-        check_bounded_intersection(small, budget=497)
-    # 60 sets: 180 + C(60, 4) * 4 * 200 under the default budget
-    system = SetSystem(200, tuple((0, 1, i) for i in range(2, 62)), 4)
-    with pytest.raises(SizeGuardError, match="estimated cost 390108180 "):
+    # sets {0, 1, i, i + 1}: 6 pair insertions each, and the pair (0, 1)
+    # groups all of them; sets 2 and 3 meet in {0, 1} but sets 0 and 1 in
+    # {0, 1, 3}, so after a core test of 4 per set come C(m, 4) * 4 * n
+    # more for the order-4 tuples
+    small = SetSystem(9, tuple((0, 1, i, i + 1) for i in range(2, 8)), 4)
+    assert check_bounded_intersection(small, budget=600) is None
+    with pytest.raises(SizeGuardError, match="estimated cost 600 "):
+        check_bounded_intersection(small, budget=599)
+    # 60 sets: 360 + 240 + C(60, 4) * 4 * 200 under the default budget
+    system = SetSystem(200, tuple((0, 1, i, i + 1) for i in range(2, 62)), 4)
+    with pytest.raises(SizeGuardError, match="estimated cost 390108600 "):
         check_bounded_intersection(system)
+    # sets {0, 1, i} meet pairwise in {0, 1}, so every 4-tuple meets in
+    # the intersection of a pair inside it and none is tested: 3 pair
+    # insertions and a core test of 3 per set
+    sunflower = SetSystem(200, tuple((0, 1, i) for i in range(2, 62)), 4)
+    assert check_bounded_intersection(sunflower, budget=360) is None
+    with pytest.raises(SizeGuardError, match="estimated cost 360 "):
+        check_bounded_intersection(sunflower, budget=359)
+
+
+def test_checker_passes_grid_plane_system_under_default_budget():
+    # the planes through two points all hold the line through them and
+    # meet pairwise in its points, so no triple of this system is tested
+    rng = random.Random(1)
+    points = []
+    while len(points) < 40:
+        p = Point(rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
+        if p not in points:
+            points.append(p)
+    system = hyperplane_system(points, 3)
+    assert len(system.sets) == 5102
+    assert check_bounded_intersection(system) is None
 
 
 def test_checker_order_two_guard_counts_pair_insertions():
@@ -382,6 +404,22 @@ def small_set_systems(draw):
 @example(SetSystem(6, ((0, 1, 2, 3), (0, 1, 4), (0, 1, 5)), 3))
 @example(SetSystem(7, tuple(tuple(set(range(7)) - {i}) for i in range(5)), 4))
 @example(SetSystem(4, ((0, 1, 2, 3), (0, 1, 2), (0, 1), (1, 2, 3)), 2))
+# one pair group whose first two sets meet in a core held by every set,
+# and one whose sets outside that core are disjoint but do not all hold
+# it: neither is skipped, and sets 2, 3, 4 violate in each
+@example(
+    SetSystem(
+        7, ((0, 1, 5), (0, 1, 6), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)), 3
+    )
+)
+@example(
+    SetSystem(
+        7,
+        ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), (0, 1, 2, 3), (0, 1, 2, 4),
+         (0, 1, 3, 4)),
+        3,
+    )
+)
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     assert check_bounded_intersection(system) == expected
@@ -694,8 +732,8 @@ def test_parse_set_system_raises_only_parse_error(text):
 
 @st.composite
 def corrupted_set_system_files(draw):
-    """A small system's text form with one fault; n and k stay <= 10**4,
-    so that no example prints millions of trace lines."""
+    """A small system's text form with one fault; the order may be as
+    deep as 10**12."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(2, 6))
     sets = st.frozensets(st.integers(0, n - 1), min_size=1)
@@ -719,7 +757,7 @@ def corrupted_set_system_files(draw):
             )
         )
     elif fault == "order":
-        header[1] = str(draw(st.sampled_from([-1, 0, 1, 10, 10**4])))
+        header[1] = str(draw(st.sampled_from([-1, 0, 1, 10, 10**4, 10**12])))
     elif fault == "element":
         rows[i].append(str(draw(st.sampled_from([-1, n, n + 7, 10**4]))))
     elif fault == "token":
