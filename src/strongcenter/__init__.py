@@ -31,7 +31,6 @@ from .generators import (
     tightness_instance,
 )
 from .geometry import (
-    DIRECTION_TOL,
     Halfspace,
     Orientation,
     OrientationFamily,
@@ -77,7 +76,6 @@ __all__ = [
     "AbstractResult",
     "CenterpointCertificate",
     "DEGENERATE_KINDS",
-    "DIRECTION_TOL",
     "DimensionMismatchError",
     "FAMILY_NAMES",
     "Halfspace",

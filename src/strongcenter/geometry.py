@@ -19,9 +19,6 @@ from .errors import DimensionMismatchError
 
 Number = Union[int, float]
 
-#: Unit vectors closer than this (Euclidean distance) count as one direction.
-DIRECTION_TOL = 1e-9
-
 _PARTITION_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
@@ -90,8 +87,8 @@ class Orientation:
     """The direction of a halfspace's outward normal, in canonical form.
 
     All-integer vectors are divided by their gcd and stay exact; any other
-    vector is scaled to unit Euclidean length. Positive multiples of one
-    direction therefore compare equal, e.g. (2, 0) and (1, 0).
+    vector is scaled to unit length, after an exact power-of-two prescale
+    that keeps its squares in range. So (2, 0) and (1, 0) compare equal.
     """
 
     __slots__ = ("direction",)
@@ -105,8 +102,10 @@ class Orientation:
             g = math.gcd(*(abs(c) for c in direction))
             self.direction = tuple(c // g for c in direction)
         else:
-            norm = math.sqrt(math.fsum(float(c) * float(c) for c in direction))
-            self.direction = tuple(float(c) / norm for c in direction)
+            exp = math.frexp(max(abs(float(c)) for c in direction))[1]
+            scaled = [math.ldexp(float(c), -exp) for c in direction]
+            norm = math.sqrt(math.fsum(c * c for c in scaled))
+            self.direction = tuple(c / norm for c in scaled)
 
     @property
     def dim(self) -> int:
@@ -139,23 +138,19 @@ class Orientation:
         return f"Orientation{self.direction!r}"
 
 
-def same_direction(a: Orientation, b: Orientation, tol: float = 0.0) -> bool:
-    """Whether two orientations point the same way.
+def same_direction(a: Orientation, b: Orientation) -> bool:
+    """Whether two orientations count as one direction of a family.
 
-    Exact for canonical forms (integer vectors, or bitwise-equal floats);
-    otherwise the unit vectors must lie within Euclidean distance ``tol``.
+    Both must be integer or both float, with equal canonical directions:
+    positive integer multiples, or floats with equal unit vectors. No
+    tolerance applies, and an integer direction never matches a float one,
+    whose projections round differently.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"orientations of dimension {a.dim} and {b.dim}"
         )
-    if a.direction == b.direction:
-        return True
-    if a.is_integral and b.is_integral:
-        return False
-    ua, ub = a.unit(), b.unit()
-    dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(ua, ub)))
-    return dist <= tol
+    return a.is_integral == b.is_integral and a.direction == b.direction
 
 
 class OrientationFamily:
@@ -163,8 +158,9 @@ class OrientationFamily:
 
     The family size k fixes every containment threshold, and a duplicated
     direction would silently weaken those thresholds, so the constructor
-    rejects positive multiples. Use :func:`normalize_orientations` to
-    deduplicate noisy input first.
+    rejects any two orientations that :func:`same_direction` matches. Use
+    :func:`normalize_orientations` to drop such repeats from raw input
+    first.
     """
 
     __slots__ = ("orientations",)
@@ -220,12 +216,13 @@ class OrientationFamily:
         return f"OrientationFamily({list(self.orientations)!r})"
 
 
-def normalize_orientations(raw, tol: float = DIRECTION_TOL) -> OrientationFamily:
+def normalize_orientations(raw) -> OrientationFamily:
     """Canonicalize raw direction vectors into an :class:`OrientationFamily`.
 
-    Entries may be coordinate sequences or Orientations. A vector pointing
-    the same way as an earlier one, within Euclidean distance ``tol``
-    between unit vectors, is dropped. Order of first appearance survives.
+    Entries may be coordinate sequences or Orientations. A vector that
+    :func:`same_direction` matches to an earlier one is dropped; every
+    other vector, however nearly parallel, counts toward k. Order of first
+    appearance survives.
     """
     vectors = list(raw)
     if not vectors:
@@ -233,7 +230,7 @@ def normalize_orientations(raw, tol: float = DIRECTION_TOL) -> OrientationFamily
     kept: list[Orientation] = []
     for vec in vectors:
         o = vec if isinstance(vec, Orientation) else Orientation(vec)
-        if not any(same_direction(q, o, tol) for q in kept):
+        if not any(same_direction(q, o) for q in kept):
             kept.append(o)
     return OrientationFamily(kept)
 

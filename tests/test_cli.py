@@ -176,6 +176,77 @@ def test_cli_compute_collinear_with_custom_family(tmp_path, capsys):
     assert "rank: 3" in out
 
 
+def _compute_then_verify(capsys, points, normals):
+    """Run compute with the custom family, then verify its chosen point
+    with the same family; return compute's report and verify's exit code."""
+    family = "custom:" + normals
+    code, out, _ = run(capsys, "compute", points, "--family", family)
+    assert code == 0
+    assert "verdict: ok" in out
+    chosen = re.search(r"chosen-point: (.+)", out).group(1)
+    verify_code, _, _ = run(
+        capsys, "verify", points, "--family", family, "--candidate", chosen
+    )
+    return out, verify_code
+
+
+def test_cli_custom_family_keeps_nearly_parallel_normals(tmp_path, capsys):
+    # no tolerance merges (1, 1e-10) into (1, 0): k is 3, not 2, and the
+    # point a k = 2 family would choose fails along (1.0, 1e-10)
+    points = write(
+        tmp_path,
+        "p.txt",
+        "2 6\n5 -86895443334\n-3 3183652505\n5 -81421829922\n"
+        "-5 3350403033\n-1 96154046702\n1 62607350276\n",
+    )
+    normals = write(tmp_path, "f.txt", "2 3\n1 0\n1 0.0000000001\n-1 0\n")
+    out, verify_code = _compute_then_verify(capsys, points, normals)
+    assert "k: 3" in out
+    assert verify_code == 0
+    code, out, _ = run(
+        capsys, "verify", points, "--family", "custom:" + normals,
+        "--candidate", "-1 96154046702",
+    )
+    assert code == 1
+    assert "witness-orientation: 1.0 1e-10" in out
+
+
+def test_cli_custom_family_keeps_integer_and_float_twins(tmp_path, capsys):
+    # (3, 4) and (0.6, 0.8) round differently near 1.2e16: k is 4, and
+    # row 1, which a merged k = 3 family chose, has 5 of the 6 points
+    # strictly below it along (0.6, 0.8)
+    rows = [
+        "12281535140256066 12281535145540741",
+        "12281535142246614 12281535144047832",
+        "12281535140915174 12281535145046407",
+        "12281535140463870 12281535145384885",
+        "12281535144665429 12281535142233721",
+        "12281535145894488 12281535141311921",
+    ]
+    points = write(tmp_path, "p.txt", "2 6\n" + "\n".join(rows) + "\n")
+    normals = write(tmp_path, "f.txt", "2 4\n3 4\n0.6 0.8\n-1 0\n0 -1\n")
+    out, verify_code = _compute_then_verify(capsys, points, normals)
+    assert "k: 4" in out
+    assert verify_code == 0
+    code, out, _ = run(
+        capsys, "verify", points, "--family", "custom:" + normals,
+        "--candidate", rows[1],
+    )
+    assert code == 1
+    assert "witness-orientation: 0.6 0.8" in out
+    assert "witness-count: 5" in out
+
+
+@pytest.mark.parametrize("normal", ["1e200 1e200", "1e-200 1e-200"])
+def test_cli_custom_family_with_extreme_float_normal(tmp_path, capsys, normal):
+    points = write(tmp_path, "p.txt", "2 3\n0 0\n1 1\n2 0\n")
+    normals = write(tmp_path, "f.txt", f"2 3\n{normal}\n-1 0\n0 -1\n")
+    out, verify_code = _compute_then_verify(capsys, points, normals)
+    assert "k: 3" in out
+    assert "orientation: 0.7071067811865" in out
+    assert verify_code == 0
+
+
 def test_cli_compute_tightness_round_trip(tmp_path, capsys):
     inst = tightness_instance(axis_box_family(2), 8)
     path = write(tmp_path, "t.txt", format_points(inst.points))

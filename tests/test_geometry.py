@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongcenter import (
     DimensionMismatchError,
@@ -76,23 +78,108 @@ def test_positive_multiples_compare_equal():
     assert Orientation(1.0, 0.0) == Orientation(1, 0)
 
 
-def test_same_direction_tolerance():
-    a = Orientation(1.0, 0.0)
-    b = Orientation(1.0, 1e-10)
-    assert not same_direction(a, b)
-    assert same_direction(a, b, tol=1e-9)
-    assert not same_direction(a, Orientation(-1.0, 0.0), tol=1e-9)
-
-
 @pytest.mark.parametrize(
     "exact, unit",
     [((1, 1), (0.5, 0.5)), ((1, 2), (0.5, 1.0)), ((3, 4), (0.6, 0.8))],
 )
 def test_family_rejects_integer_and_float_multiples(exact, unit):
-    # the float direction's unit vector equals the integer one's bitwise
-    assert same_direction(Orientation(exact), Orientation(unit))
+    # integer multiples, and floats a power of two apart, are one direction
+    doubled = tuple(2 * c for c in exact)
     with pytest.raises(ValueError):
-        OrientationFamily([Orientation(exact), Orientation(unit)])
+        OrientationFamily([Orientation(exact), Orientation(doubled)])
+    doubled = tuple(2.0 * c for c in unit)
+    with pytest.raises(ValueError):
+        OrientationFamily([Orientation(unit), Orientation(doubled)])
+    # an integer and a float direction never are, even where their unit
+    # vectors agree bitwise: they project in different arithmetic
+    assert Orientation(exact).unit() == Orientation(unit).direction
+    assert not same_direction(Orientation(exact), Orientation(unit))
+    assert OrientationFamily([Orientation(exact), Orientation(unit)]).k == 2
+
+
+def test_nearly_parallel_floats_are_distinct():
+    a = Orientation(1.0, 0.0)
+    assert not same_direction(a, Orientation(1.0, 1e-10))
+    assert same_direction(a, Orientation(5.0, 0.0))
+    assert not same_direction(a, Orientation(-1.0, 0.0))
+    assert normalize_orientations([(1, 0), (1.0, 1e-10), (-1, 0)]).k == 3
+
+
+@pytest.mark.parametrize(
+    "vec", [(1e200, 1e200), (1e-200, 1e-200), (5e-324, 0.0), (-1e308, 1.0)]
+)
+def test_orientation_float_unit_norm_at_extreme_magnitudes(vec):
+    direction = Orientation(vec).direction
+    assert any(direction)
+    norm = math.sqrt(sum(c * c for c in direction))
+    assert abs(norm - 1.0) <= 1e-15
+    assert [math.copysign(1, c) for c in direction] == \
+        [math.copysign(1, c) for c in vec]
+
+
+def _old_unit(vec):
+    # unit vector without the prescale: right wherever no square overflows
+    # or underflows, so it is the reference there
+    norm = math.sqrt(math.fsum(float(c) * float(c) for c in vec))
+    return tuple(float(c) / norm for c in vec)
+
+
+# magnitudes where neither the plain nor the prescaled squares leave the
+# normal float range, so both formulas round identically
+_in_range = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-(10**6), 10**6),
+    st.builds(
+        math.copysign,
+        st.floats(min_value=1e-60, max_value=1e60),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_in_range, min_size=1, max_size=4).filter(
+        lambda v: any(v) and not all(isinstance(c, int) for c in v)
+    )
+)
+def test_orientation_prescale_keeps_unit_vectors_bitwise(vec):
+    got = Orientation(vec).direction
+    assert [c.hex() for c in got] == [c.hex() for c in _old_unit(vec)]
+
+
+def _positive_multiples(a, b) -> bool:
+    parallel = all(
+        a[i] * b[j] == a[j] * b[i]
+        for i in range(len(a))
+        for j in range(i + 1, len(a))
+    )
+    return parallel and sum(x * y for x, y in zip(a, b)) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+            .filter(any)
+            .map(tuple),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_normalize_integer_vectors_counts_positive_multiple_classes(raw):
+    classes: list = []
+    for vec in raw:
+        if not any(_positive_multiples(rep, vec) for rep in classes):
+            classes.append(vec)
+    family = normalize_orientations(raw)
+    assert family.k == len(classes)
+    # a float copy of an integer vector is never merged into it
+    floated = tuple(float(c) for c in raw[0])
+    assert not same_direction(family[0], Orientation(floated))
+    assert normalize_orientations(raw + [floated]).k == len(classes) + 1
 
 
 def test_family_rejects_duplicates_and_mixed_dimension():

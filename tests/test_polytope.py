@@ -15,7 +15,9 @@ from strongcenter import (
     format_points,
     heavy_threshold_exceeded,
     max_avoiding_count,
+    normalize_orientations,
     parse_point_file,
+    project,
     random_instance,
     selection_rank,
     tightness_instance,
@@ -377,3 +379,31 @@ def test_point_file_projector_follows_direction_types():
         assert [repr(h.offset) for h in cert.halfspaces] == \
             [repr(h.offset) for h in want.halfspaces]
     assert len(point_file.projectors) == 2
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        [(3, 4), (0.6, 0.8), (-1, 0), (0, -1)],
+        [(1, 1), (0.5, 0.5), (-1, 0), (0, -1)],
+    ],
+)
+def test_certificate_holds_along_every_given_normal(normals):
+    # Near 1e17 an integer normal and its float twin order the points
+    # differently, so merging them would make k too small: no halfspace
+    # along a given normal may avoid the certified point while holding
+    # more than (1 - 1/k) * n of the points.
+    family = normalize_orientations(normals)
+    given = [Orientation(v) for v in normals]
+    rng = random.Random(20261018)
+    for _ in range(500):
+        base = 10**17 + rng.randint(-(10**15), 10**15)
+        points = [
+            Point(base + rng.randint(0, 64), base + rng.randint(0, 64))
+            for _ in range(rng.randint(3, 8))
+        ]
+        chosen = compute_strong_centerpoint(points, family).point
+        for o in given:
+            cut = project(chosen, o)
+            below = sum(project(p, o) < cut for p in points)
+            assert not heavy_threshold_exceeded(below, len(points), family.k)
