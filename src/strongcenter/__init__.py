@@ -39,7 +39,6 @@ from .geometry import (
     kth_smallest,
     normalize_orientations,
     project,
-    same_direction,
 )
 from .pointfile import (
     PointFile,
@@ -114,7 +113,6 @@ __all__ = [
     "random_instance",
     "render_plot",
     "restrict",
-    "same_direction",
     "selection_rank",
     "skyline_family",
     "strong_centerpoint",

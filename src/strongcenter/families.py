@@ -72,8 +72,8 @@ def downward_triangle_family() -> OrientationFamily:
 def homothet_family(facet_normals) -> OrientationFamily:
     """Scaled-and-translated copies of one polytope: its facet normals.
 
-    Normals merge only as :func:`same_direction` says, so nearly parallel
-    ones, or an integer and a float one, each count toward k.
+    Normals merge only when their Orientations are equal, so nearly
+    parallel ones, or an integer and a float one, each count toward k.
     Requires at least d + 1 of them; fewer cannot bound a polytope.
     """
     normals = list(facet_normals)

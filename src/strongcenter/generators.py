@@ -71,8 +71,10 @@ def tightness_instance(
         raise ValueError(f"n must be a positive int, got {n!r}")
     if n % k != 0:
         raise ValueError(f"n must be a multiple of k={k}, got {n}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be nonnegative, got {jitter!r}")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(
+            f"jitter must be a finite nonnegative number, got {jitter!r}"
+        )
     rng = random.Random(seed)
     points = []
     for orientation in family:

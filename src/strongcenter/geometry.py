@@ -88,7 +88,10 @@ class Orientation:
 
     All-integer vectors are divided by their gcd and stay exact; any other
     vector is scaled to unit length, after an exact power-of-two prescale
-    that keeps its squares in range. So (2, 0) and (1, 0) compare equal.
+    that keeps its squares in range, with ``-0.0`` stored as ``0.0``.
+    Orientations are equal exactly when they project every point
+    identically: both integer with equal gcd forms, such as (2, 0) and
+    (1, 0), or both float with equal unit vectors.
     """
 
     __slots__ = ("direction",)
@@ -105,7 +108,8 @@ class Orientation:
             exp = math.frexp(max(abs(float(c)) for c in direction))[1]
             scaled = [math.ldexp(float(c), -exp) for c in direction]
             norm = math.sqrt(math.fsum(c * c for c in scaled))
-            self.direction = tuple(c / norm for c in scaled)
+            # adding 0.0 turns -0.0 into 0.0 and leaves every other value
+            self.direction = tuple(c / norm + 0.0 for c in scaled)
 
     @property
     def dim(self) -> int:
@@ -129,7 +133,11 @@ class Orientation:
         return self.direction[index]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Orientation) and self.direction == other.direction
+        return (
+            isinstance(other, Orientation)
+            and self.is_integral == other.is_integral
+            and self.direction == other.direction
+        )
 
     def __hash__(self) -> int:
         return hash(self.direction)
@@ -138,29 +146,14 @@ class Orientation:
         return f"Orientation{self.direction!r}"
 
 
-def same_direction(a: Orientation, b: Orientation) -> bool:
-    """Whether two orientations count as one direction of a family.
-
-    Both must be integer or both float, with equal canonical directions:
-    positive integer multiples, or floats with equal unit vectors. No
-    tolerance applies, and an integer direction never matches a float one,
-    whose projections round differently.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(
-            f"orientations of dimension {a.dim} and {b.dim}"
-        )
-    return a.is_integral == b.is_integral and a.direction == b.direction
-
-
 class OrientationFamily:
     """An ordered family of distinct orientations sharing one dimension.
 
     The family size k fixes every containment threshold, and a duplicated
     direction would silently weaken those thresholds, so the constructor
-    rejects any two orientations that :func:`same_direction` matches. Use
+    rejects an orientation equal to an earlier one. Use
     :func:`normalize_orientations` to drop such repeats from raw input
-    first.
+    first. Families are equal when their orientations are, in order.
     """
 
     __slots__ = ("orientations",)
@@ -169,21 +162,17 @@ class OrientationFamily:
         orientations = tuple(orientations)
         if not orientations:
             raise ValueError("orientation family must not be empty")
-        for o in orientations:
+        first: dict[Orientation, int] = {}
+        for i, o in enumerate(orientations):
             if not isinstance(o, Orientation):
                 raise TypeError(f"not an Orientation: {o!r}")
-        dim = orientations[0].dim
-        for o in orientations[1:]:
-            if o.dim != dim:
+            if o.dim != orientations[0].dim:
                 raise DimensionMismatchError(
                     "orientations of mixed dimension in one family"
                 )
-        for i in range(len(orientations)):
-            for j in range(i + 1, len(orientations)):
-                if same_direction(orientations[i], orientations[j]):
-                    raise ValueError(
-                        f"orientations {i} and {j} are positive multiples"
-                    )
+            j = first.setdefault(o, i)
+            if j != i:
+                raise ValueError(f"orientation {i} repeats orientation {j}")
         self.orientations = orientations
 
     @property
@@ -219,19 +208,17 @@ class OrientationFamily:
 def normalize_orientations(raw) -> OrientationFamily:
     """Canonicalize raw direction vectors into an :class:`OrientationFamily`.
 
-    Entries may be coordinate sequences or Orientations. A vector that
-    :func:`same_direction` matches to an earlier one is dropped; every
-    other vector, however nearly parallel, counts toward k. Order of first
-    appearance survives.
+    Entries may be coordinate sequences or Orientations. A vector whose
+    Orientation equals an earlier one's is dropped; every other vector,
+    however nearly parallel, counts toward k. Order of first appearance
+    survives.
     """
     vectors = list(raw)
     if not vectors:
         raise ValueError("no directions given")
-    kept: list[Orientation] = []
-    for vec in vectors:
-        o = vec if isinstance(vec, Orientation) else Orientation(vec)
-        if not any(same_direction(q, o) for q in kept):
-            kept.append(o)
+    kept = dict.fromkeys(
+        v if isinstance(v, Orientation) else Orientation(v) for v in vectors
+    )
     return OrientationFamily(kept)
 
 

@@ -33,8 +33,8 @@ class PointFile:
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
     floats. ``points`` is built from the rows on first use. ``projectors``
-    maps each family's repr to the projection arrays the polytope functions
-    built for it; they stay in memory for as long as the PointFile does.
+    maps each family to the projection arrays the polytope functions built
+    for it; they stay in memory for as long as the PointFile does.
     """
 
     dim: int

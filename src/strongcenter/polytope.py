@@ -34,6 +34,8 @@ _INT64_SAFE = 2**62
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # Integers of smaller magnitude convert to float64 exactly.
 _FLOAT64_EXACT = 2**53
+# inf and nan projections would be compared as if they were numbers
+_OVERFLOW = "a projection along {!r} overflows float64"
 
 
 def selection_rank(n: int, k: int) -> int:
@@ -122,12 +124,21 @@ class _Projector:
         self._cache: dict[int, np.ndarray] = {}
 
     def along(self, index: int) -> np.ndarray:
+        """Projections along orientation ``index``; ValueError if one
+        overflows float64."""
         arr = self._cache.get(index)
         if arr is None:
-            direction = self.family[index].direction
-            arr = self._cols[0] * direction[0]
-            for j in range(1, len(direction)):
-                arr = arr + self._cols[j] * direction[j]
+            orientation = self.family[index]
+            direction = orientation.direction
+            # numpy checks the float status after object loops too, so
+            # Python floats in object columns raise here as well
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    arr = self._cols[0] * direction[0]
+                    for j in range(1, len(direction)):
+                        arr = arr + self._cols[j] * direction[j]
+            except FloatingPointError:
+                raise ValueError(_OVERFLOW.format(orientation)) from None
             self._cache[index] = arr
         return arr
 
@@ -231,15 +242,13 @@ def _magnitude(column) -> int:
 
 def _projector_for(points, family: OrientationFamily) -> _Projector:
     """A new projector for a Point sequence; for a PointFile, the one kept
-    on it for ``family``. The key is the family's repr, since equal
-    families may differ in component type (1 and 1.0) or sign of zero, and
-    either changes the arithmetic."""
+    on it for ``family``. Equal families project every point identically,
+    so the family itself is the key."""
     if not isinstance(points, PointFile):
         return _Projector(points, family)
-    key = repr(family)
-    projector = points.projectors.get(key)
+    projector = points.projectors.get(family)
     if projector is None:
-        projector = points.projectors[key] = _Projector(points, family)
+        projector = points.projectors[family] = _Projector(points, family)
     return projector
 
 
@@ -247,7 +256,10 @@ def _below_counts(projector: _Projector, candidate: Point):
     """Per family orientation, in order, the orientation and how many
     points project strictly below ``candidate`` along it."""
     for i, o in enumerate(projector.family):
-        yield o, projector.count_below(i, project(candidate, o))
+        value = project(candidate, o)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(_OVERFLOW.format(o))
+        yield o, projector.count_below(i, value)
 
 
 def compute_strong_centerpoint(

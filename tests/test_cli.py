@@ -1,5 +1,6 @@
 import re
 import time
+import warnings
 
 import pytest
 
@@ -403,6 +404,49 @@ def test_cli_float_overflow_exits_2(tmp_path, capsys, argv):
     assert err == "error: int too large to convert to float\n"
 
 
+@pytest.mark.parametrize(
+    "command, points, normals, normal",
+    [
+        (
+            ["compute"],
+            "2 5\n0.5 1\n2 3\n1e308 -1e308\n1 1\n-2 3\n",
+            "2 2\n-4 -3\n-1 1\n",
+            "-4, -3",
+        ),
+        (
+            ["verify", "--candidate=1e308 -1e308"],
+            "2 3\n0 0\n1 1\n2 5\n",
+            "2 2\n4 3\n-4 -3\n",
+            "4, 3",
+        ),
+        (
+            ["compute"],
+            "2 4\n2 3\n1e308 -1e308\n0.5 1\n-2 3\n",
+            "2 3\n2 -1\n-1 0\n0 1\n",
+            "2, -1",
+        ),
+    ],
+    ids=["compute-nan", "verify-candidate", "compute-inf"],
+)
+def test_cli_projection_overflow_exits_2(
+    tmp_path, capsys, command, points, normals, normal
+):
+    # finite inputs whose float64 projections overflow once gave a verdict
+    # from inf and nan comparisons, and numpy warnings on stderr
+    points = write(tmp_path, "p.txt", points)
+    normals = write(tmp_path, "n.txt", normals)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, command[0], points, "--family", "custom:" + normals,
+            *command[1:],
+        )
+    assert (code, out, caught) == (2, "", [])
+    assert err == (
+        f"error: a projection along Orientation({normal}) overflows float64\n"
+    )
+
+
 def test_cli_missing_file_exits_2(capsys):
     code, _, err = run(
         capsys, "compute", "/nonexistent/p.txt", "--family", "axis-box"
@@ -510,6 +554,17 @@ def test_cli_generate_tightness(tmp_path, capsys):
     assert code == 0
     parsed = parse_point_file(out_path.read_text())
     assert len(parsed.points) == 8
+
+
+@pytest.mark.parametrize("jitter", ["nan", "inf"])
+def test_cli_generate_tightness_rejects_non_finite_jitter(capsys, jitter):
+    code, out, err = run(
+        capsys, "generate", "tightness", "--n", "4", "--jitter", jitter
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: jitter must be a finite nonnegative number, got {jitter}\n"
+    )
 
 
 def test_cli_generate_random_deterministic(tmp_path, capsys):

@@ -108,6 +108,14 @@ def test_tightness_jitter_keeps_counts():
         assert verify_strong_centerpoint(list(inst.points), family, p).ok
 
 
+@pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
+def test_tightness_rejects_bad_jitter(jitter):
+    with pytest.raises(
+        ValueError, match="jitter must be a finite nonnegative number"
+    ):
+        tightness_instance(axis_box_family(2), 8, jitter=jitter)
+
+
 def test_tightness_label_and_seed():
     inst = tightness_instance(axis_box_family(2), 8, seed=3)
     assert inst.label == "tightness-k4-n8"

@@ -16,7 +16,6 @@ from strongcenter import (
     kth_smallest,
     normalize_orientations,
     project,
-    same_direction,
 )
 
 
@@ -74,8 +73,9 @@ def test_positive_multiples_compare_equal():
     assert Orientation(2, 0) == Orientation(1, 0)
     assert Orientation(2, 0) != Orientation(-1, 0)
     assert Orientation(10, 15) == Orientation(2, 3)
-    # unit floats of an integer direction match the exact form elementwise
-    assert Orientation(1.0, 0.0) == Orientation(1, 0)
+    # unit floats of an integer direction match the exact form elementwise,
+    # but project in float arithmetic, so they are another orientation
+    assert Orientation(1.0, 0.0) != Orientation(1, 0)
 
 
 @pytest.mark.parametrize(
@@ -93,15 +93,15 @@ def test_family_rejects_integer_and_float_multiples(exact, unit):
     # an integer and a float direction never are, even where their unit
     # vectors agree bitwise: they project in different arithmetic
     assert Orientation(exact).unit() == Orientation(unit).direction
-    assert not same_direction(Orientation(exact), Orientation(unit))
+    assert Orientation(exact) != Orientation(unit)
     assert OrientationFamily([Orientation(exact), Orientation(unit)]).k == 2
 
 
 def test_nearly_parallel_floats_are_distinct():
     a = Orientation(1.0, 0.0)
-    assert not same_direction(a, Orientation(1.0, 1e-10))
-    assert same_direction(a, Orientation(5.0, 0.0))
-    assert not same_direction(a, Orientation(-1.0, 0.0))
+    assert a != Orientation(1.0, 1e-10)
+    assert a == Orientation(5.0, 0.0)
+    assert a != Orientation(-1.0, 0.0)
     assert normalize_orientations([(1, 0), (1.0, 1e-10), (-1, 0)]).k == 3
 
 
@@ -119,9 +119,9 @@ def test_orientation_float_unit_norm_at_extreme_magnitudes(vec):
 
 def _old_unit(vec):
     # unit vector without the prescale: right wherever no square overflows
-    # or underflows, so it is the reference there
+    # or underflows, so it is the reference there; -0.0 becomes 0.0
     norm = math.sqrt(math.fsum(float(c) * float(c) for c in vec))
-    return tuple(float(c) / norm for c in vec)
+    return tuple(float(c) / norm or 0.0 for c in vec)
 
 
 # magnitudes where neither the plain nor the prescaled squares leave the
@@ -178,8 +178,50 @@ def test_normalize_integer_vectors_counts_positive_multiple_classes(raw):
     assert family.k == len(classes)
     # a float copy of an integer vector is never merged into it
     floated = tuple(float(c) for c in raw[0])
-    assert not same_direction(family[0], Orientation(floated))
+    assert family[0] != Orientation(floated)
     assert normalize_orientations(raw + [floated]).k == len(classes) + 1
+
+
+def _spellings(c):
+    # an integer component as itself, its float twin, scaled floats, or,
+    # for 0, as -0.0
+    return st.sampled_from([c, float(c), 2.0 * c, c / 3] + [-0.0] * (c == 0))
+
+
+# pairs of spellings of the same small integer vectors, one dimension each
+_twin_vectors = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        .filter(any)
+        .flatmap(
+            lambda base: st.tuples(
+                st.tuples(*map(_spellings, base)),
+                st.tuples(*map(_spellings, base)),
+            )
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_twin_vectors)
+def test_orientation_equality_is_projection_identity(twins):
+    raw, other = (list(side) for side in zip(*twins))
+    orientations = [Orientation(v) for v in raw + other]
+    probe = Point(tuple(2**53 + 1 + j for j in range(orientations[0].dim)))
+    for a in orientations:
+        for b in orientations:
+            assert (a == b) == (repr(a) == repr(b))
+            if a == b:
+                assert hash(a) == hash(b)
+                assert repr(project(probe, a)) == repr(project(probe, b))
+    family, other_family = map(normalize_orientations, (raw, other))
+    assert len(set(family)) == family.k
+    assert (family == other_family) == (repr(family) == repr(other_family))
+    if family == other_family:
+        assert hash(family) == hash(other_family)
 
 
 def test_family_rejects_duplicates_and_mixed_dimension():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -365,15 +366,19 @@ def test_point_file_may_stand_in_for_points():
 
 
 def test_point_file_projector_follows_direction_types():
-    # (1, 0) and (1.0, 0.0) compare equal, but only the integer family
-    # projects 2**53 + 1 exactly; a PointFile must not hand one family's
-    # projector to the other.
+    # Only the integer family projects 2**53 + 1 exactly, so (1, 0) and
+    # (1.0, 0.0) are different families and a PointFile keeps a projector
+    # for each; a -0.0 component is 0.0, so its family shares one.
     points = [Point(2**53 + 1, 0), Point(0, 0)]
     point_file = parse_point_file(format_points(points))
     exact = PM_X
     rounded = OrientationFamily([Orientation(1.0, 0), Orientation(-1.0, 0)])
-    assert exact == rounded
-    for family in (exact, rounded, exact):
+    signed_zero = OrientationFamily(
+        [Orientation(1.0, -0.0), Orientation(-1.0, -0.0)]
+    )
+    assert exact != rounded
+    assert signed_zero == rounded and repr(signed_zero) == repr(rounded)
+    for family in (exact, rounded, signed_zero, exact):
         cert = compute_strong_centerpoint(point_file, family)
         want = compute_strong_centerpoint(points, family)
         assert [repr(h.offset) for h in cert.halfspaces] == \
@@ -407,3 +412,41 @@ def test_certificate_holds_along_every_given_normal(normals):
             cut = project(chosen, o)
             below = sum(project(p, o) < cut for p in points)
             assert not heavy_threshold_exceeded(below, len(points), family.k)
+
+
+def _raises_overflow(orientation):
+    return pytest.raises(
+        ValueError, match=rf"along {re.escape(repr(orientation))} overflows"
+    )
+
+
+def test_overflowing_projection_is_an_input_error():
+    # Along (-4, -3), 3 of the 5 points lie strictly below (0.5, 1), but
+    # -4e308 + 3e308 is nan in float64, and compute certified (0.5, 1).
+    points = [Point(0.5, 1), Point(2, 3), Point(1e308, -1e308), Point(1, 1),
+              Point(-2, 3)]
+    family = normalize_orientations([(-4, -3), (-1, 1)])
+    with _raises_overflow(Orientation(-4, -3)):
+        compute_strong_centerpoint(points, family)
+    with _raises_overflow(Orientation(-4, -3)):
+        max_avoiding_count(points, family, Point(0.5, 1))
+    # float64 columns, and object columns (big ints next to floats)
+    cases = [
+        ([(2, 3), (1e308, -1e308), (0.5, 1), (-2, 3)],
+         [(2, -1), (-1, 0), (0, 1)]),
+        ([(2**60, 1e308), (1, 1.5), (0, 0)], [(4, 3), (-1, 0), (0, -1)]),
+    ]
+    for coords, normals in cases:
+        points = [Point(c) for c in coords]
+        with _raises_overflow(Orientation(normals[0])):
+            compute_strong_centerpoint(points, normalize_orientations(normals))
+
+
+def test_overflowing_candidate_projection_is_an_input_error():
+    # Along (4, 3) all 3 points lie strictly below (1e308, -1e308), whose
+    # projection 4e308 - 3e308 is nan in float64.
+    points = [Point(0, 0), Point(1, 1), Point(2, 5)]
+    family = normalize_orientations([(4, 3), (-4, -3)])
+    for call in (verify_strong_centerpoint, max_avoiding_count):
+        with _raises_overflow(Orientation(4, 3)):
+            call(points, family, Point(1e308, -1e308))
