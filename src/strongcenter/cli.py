@@ -62,7 +62,8 @@ def _load_family(spec: str, dim: int):
                 f"normals of dimension {normals.dim} for points of "
                 f"dimension {dim}"
             )
-        return normalize_orientations([p.coords for p in normals.points])
+        indices = range(len(normals.rows))
+        return normalize_orientations(normals.point(i).coords for i in indices)
     return named_family(spec, dim)
 
 
@@ -200,7 +201,7 @@ def _cmd_plot(args) -> int:
         raise DimensionMismatchError("plotting requires dimension 2")
     family = _load_family(args.family, point_file.dim)
     certificate = compute_strong_centerpoint(point_file, family)
-    svg = render_plot(point_file.points, certificate)
+    svg = render_plot(point_file, certificate)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(svg)
     return EXIT_OK

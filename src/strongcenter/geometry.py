@@ -60,10 +60,6 @@ class Point:
     def dim(self) -> int:
         return len(self.coords)
 
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coords)
-
     def __iter__(self) -> Iterator[Number]:
         return iter(self.coords)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +31,10 @@ class PointFile:
 
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
-    floats. ``points`` is built from the rows on first use. ``projectors``
-    maps each family to the projection arrays the polytope functions built
-    for it; they stay in memory for as long as the PointFile does.
+    floats; the polytope functions and ``render_plot`` read these, and
+    ``point(i)`` parses one row into a Point. ``projectors`` maps each
+    family to the projection arrays the polytope functions built for it;
+    they stay in memory for as long as the PointFile does.
     """
 
     dim: int
@@ -47,11 +47,6 @@ class PointFile:
     def point(self, index: int) -> Point:
         """The point on row ``index``, parsed token by token."""
         return Point(tuple(map(parse_number, self.rows[index].split())))
-
-    @cached_property
-    def points(self) -> tuple:
-        """Every row as a Point, built on first use."""
-        return tuple(map(self.point, range(len(self.rows))))
 
 
 def parse_number(token: str):

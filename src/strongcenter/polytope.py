@@ -336,7 +336,6 @@ def brute_force_max_avoiding(
     points: Sequence[Point],
     family: OrientationFamily,
     candidate: Point,
-    budget: Optional[int] = None,
 ) -> int:
     """Enumerate family polytopes over all candidate offsets; the maximum
     number of points in one avoiding ``candidate``.
@@ -345,20 +344,24 @@ def brute_force_max_avoiding(
     nesting argument, only raw enumeration over the offset grid built from
     the projection values of the points and the candidate, extended by a
     sentinel below and above. Exponential in k, guarded by cost estimate
-    (n <= 12, k <= 3 stays comfortable).
+    (n <= 12, k <= 3 stays comfortable). A projection that overflows
+    float64 raises ValueError, checked here on its own.
     """
     n = len(points)
     k = family.k
     candidate_proj = [project(candidate, o) for o in family]
     projections = [[project(q, o) for q in points] for o in family]
     offset_grid = []
-    for i in range(k):
-        values = sorted(set(projections[i]) | {candidate_proj[i]})
+    for i, o in enumerate(family):
+        values = [*projections[i], candidate_proj[i]]
+        if not all(isinstance(v, int) or math.isfinite(v) for v in values):
+            raise ValueError(_OVERFLOW.format(o))
+        values = sorted(set(values))
         offset_grid.append([values[0] - 1] + values + [values[-1] + 1])
     cost = n * k
     for grid in offset_grid:
         cost *= len(grid)
-    check_size_guard(cost, budget)
+    check_size_guard(cost)
     best = 0
     for offsets in itertools.product(*offset_grid):
         if all(candidate_proj[i] <= offsets[i] for i in range(k)):

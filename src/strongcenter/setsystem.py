@@ -178,17 +178,14 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
     return AbstractResult(None, tuple(heavy), trace)
 
 
-def brute_force_strong_centerpoints(
-    system: SetSystem, budget: Optional[int] = None
-) -> list[int]:
+def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     """All elements contained in every heavy set, ascending; [] means none.
 
     With no heavy set every element qualifies. Independent of the solver
     by construction: one pass over set sizes, one intersection, no
     restriction.
     """
-    cost = system.n * max(1, len(system.sets))
-    check_size_guard(cost, budget)
+    check_size_guard(system.n * max(1, len(system.sets)))
     heavy = _heavy_indices(system)
     if not heavy:
         return list(range(system.n))
@@ -306,9 +303,7 @@ def _flat_key(span):
     return normal + (sum(c * x for c, x in zip(normal, anchor)),)
 
 
-def hyperplane_system(
-    points: Sequence[Point], dim: int, budget: Optional[int] = None
-) -> SetSystem:
+def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     """Incidence system of the hyperplanes spanned by a point set.
 
     Each hyperplane through ``dim`` affinely independent points contributes
@@ -336,7 +331,7 @@ def hyperplane_system(
             raise DimensionMismatchError(
                 f"points[{index}] has dimension {p.dim}, expected {dim}"
             )
-    check_size_guard(math.comb(n, dim), budget)
+    check_size_guard(math.comb(n, dim))
     if n <= dim:
         return SetSystem(n, (tuple(range(n)),), dim)
     at: dict = {}  # distinct location -> the indices of its points

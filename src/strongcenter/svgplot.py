@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .pointfile import PointFile
 from .polytope import CenterpointCertificate
 
 _WIDTH = 640.0
@@ -91,24 +94,30 @@ def _window(low: float, high: float, pad: float) -> tuple:
     return low - pad, high + pad
 
 
-def render_plot(points, certificate: CenterpointCertificate) -> str:
-    """SVG document for a planar instance and its certificate."""
-    if any(p.dim != 2 for p in points):
+def render_plot(point_file, certificate: CenterpointCertificate) -> str:
+    """SVG document for a planar :class:`PointFile` and its certificate,
+    drawn from the float64 values of its columns. Raises OverflowError for
+    an integer beyond float64 and ValueError for a view box that overflows.
+    """
+    if not isinstance(point_file, PointFile):
+        raise TypeError("render_plot takes a PointFile")
+    if point_file.dim != 2:
         raise ValueError("plots require dimension 2")
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
+    xs, ys = (np.asarray(c, dtype=np.float64) for c in point_file.columns)
+    x_min, x_max = float(xs.min()), float(xs.max())
+    y_min, y_max = float(ys.min()), float(ys.max())
     span = max(x_max - x_min, y_max - y_min)
     pad = 0.15 * span if span > 0 else 1.0
     wx0, wx1 = _window(x_min, x_max, pad)
     wy0, wy1 = _window(y_min, y_max, pad)
+    width, height = wx1 - wx0, wy1 - wy0
     scale = min(
-        (_WIDTH - 2 * _MARGIN) / (wx1 - wx0),
-        (_HEIGHT - 2 * _MARGIN) / (wy1 - wy0),
+        (_WIDTH - 2 * _MARGIN) / width, (_HEIGHT - 2 * _MARGIN) / height
     )
-    offset_x = (_WIDTH - scale * (wx1 - wx0)) / 2.0
-    offset_y = (_HEIGHT - scale * (wy1 - wy0)) / 2.0
+    if not all(map(math.isfinite, (width, height, scale))):
+        raise ValueError("the plot's view box overflows float64")
+    offset_x = (_WIDTH - scale * width) / 2.0
+    offset_y = (_HEIGHT - scale * height) / 2.0
 
     def to_screen(x, y):
         sx = offset_x + (x - wx0) * scale
@@ -151,8 +160,8 @@ def render_plot(points, certificate: CenterpointCertificate) -> str:
             f'y2="{_fmt(sy1)}" stroke="{_LINE_COLOR}" stroke-width="1.5" '
             f'stroke-dasharray="6 4"/>'
         )
-    for index, p in enumerate(points):
-        sx, sy = to_screen(float(p[0]), float(p[1]))
+    for index, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        sx, sy = to_screen(x, y)
         if index == certificate.chosen_index:
             parts.append(
                 f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="9" '

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 import warnings
@@ -67,15 +68,17 @@ def test_format_number_round_trips():
 def test_parse_point_file():
     parsed = parse_point_file("2 3\n0 0\n1 5\n-2 7\n")
     assert parsed.dim == 2
-    assert parsed.points == (Point(0, 0), Point(1, 5), Point(-2, 7))
+    assert list(map(parsed.point, range(3))) == [
+        Point(0, 0), Point(1, 5), Point(-2, 7)
+    ]
     assert parsed.rows == ("0 0", "1 5", "-2 7")
 
 
 def test_parse_point_file_preserves_decimal_text():
     parsed = parse_point_file("1 2\n0.50\n1.0e2\n")
     assert parsed.rows == ("0.50", "1.0e2")
-    assert parsed.points[0] == Point(0.5)
-    assert parsed.points[1] == Point(100.0)
+    assert parsed.point(0) == Point(0.5)
+    assert parsed.point(1) == Point(100.0)
 
 
 def test_parse_point_file_errors():
@@ -97,7 +100,8 @@ def test_format_points_round_trip():
     points = (Point(0, 0), Point(1, -5), Point(2, 3))
     text = format_points(points)
     assert text == "2 3\n0 0\n1 -5\n2 3\n"
-    assert parse_point_file(text).points == points
+    parsed = parse_point_file(text)
+    assert tuple(map(parsed.point, range(3))) == points
 
 
 # ------------------------------------------------------------------ report
@@ -127,9 +131,9 @@ def test_input_digest_is_sha256():
 
 
 def test_plot_single_point_marker():
-    points = [Point(0, 0)]
-    cert = compute_strong_centerpoint(points, axis_box_family(2))
-    svg = render_plot(points, cert)
+    point_file = parse_point_file("2 1\n0 0\n")
+    cert = compute_strong_centerpoint(point_file, axis_box_family(2))
+    svg = render_plot(point_file, cert)
     assert svg.count("<circle") == 2  # the point plus its chosen ring
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
@@ -137,9 +141,9 @@ def test_plot_single_point_marker():
 
 def test_plot_tightness_square_region():
     inst = tightness_instance(axis_box_family(2), 8)
-    points = list(inst.points)
-    cert = compute_strong_centerpoint(points, inst.family)
-    svg = render_plot(points, cert)
+    point_file = parse_point_file(format_points(inst.points))
+    cert = compute_strong_centerpoint(point_file, inst.family)
+    svg = render_plot(point_file, cert)
     assert svg.count("<polygon") == 1
     assert svg.count("<line") == 4
     centers = set(re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)" r="3.5"', svg))
@@ -148,9 +152,16 @@ def test_plot_tightness_square_region():
 
 def test_plot_deterministic():
     inst = tightness_instance(axis_box_family(2), 8)
-    points = list(inst.points)
-    cert = compute_strong_centerpoint(points, inst.family)
-    assert render_plot(points, cert) == render_plot(points, cert)
+    point_file = parse_point_file(format_points(inst.points))
+    cert = compute_strong_centerpoint(point_file, inst.family)
+    assert render_plot(point_file, cert) == render_plot(point_file, cert)
+
+
+def test_plot_takes_a_point_file():
+    points = [Point(0, 0), Point(1, 2)]
+    cert = compute_strong_centerpoint(points, axis_box_family(2))
+    with pytest.raises(TypeError, match="PointFile"):
+        render_plot(points, cert)
 
 
 # --------------------------------------------------------------------- cli
@@ -391,6 +402,11 @@ OVERFLOW_POINTS = "2 4\n1e308 -1e308\n1" + "0" * 310 + " 0\n0.5 1\n-2 3\n"
         ["compute", "P", "--family", "downward-triangle"],
         ["verify", "P", "--family", "downward-triangle", "--candidate", "0 0"],
         ["plot", "P", "--family", "downward-triangle", "--svg", "O"],
+        # exact integer projections: render_plot's float64 columns overflow
+        pytest.param(
+            ["plot", "P", "--family", "axis-box", "--svg", "O"],
+            id="plot-columns",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
@@ -531,6 +547,61 @@ def test_cli_plot_degenerate_view_box(tmp_path, capsys, text):
     assert svg.startswith("<svg") and "nan" not in svg and "inf" not in svg
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 2\n1e308 1e308\n-1e308 -1e308\n",
+        "2 2\n1e308 0\n-1e308 0\n",
+        # the span 1.6e308 is finite, the padded width is not
+        "2 2\n8e307 0\n-8e307 0\n",
+        # a width of one subnormal gives an infinite scale
+        "2 2\n0 0\n5e-324 0\n",
+    ],
+)
+def test_cli_plot_view_box_overflow_exits_2(tmp_path, capsys, text):
+    path = write(tmp_path, "huge.txt", text)
+    out_path = tmp_path / "huge.svg"
+    code, out, err = run(
+        capsys, "plot", path, "--family", "axis-box", "--svg", str(out_path)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the plot's view box overflows float64\n"
+    assert not out_path.exists()
+
+
+# byte-exact plots of int64, mixed int/float and beyond-int64 columns
+@pytest.mark.parametrize(
+    "text, family, digest",
+    [
+        (
+            "2 8\n" + "".join(f"{i % 3} {i * 7 % 5}\n" for i in range(8)),
+            "axis-box",
+            "7958e7e5ec3ee7dec7e5730c236386426535881c62985886c52786a61b70abde",
+        ),
+        (
+            "2 5\n0.50 -0.0\n1.25 0\n-3 2.5\n0.0 0.0\n7 -1e3\n",
+            "downward-triangle",
+            "c70d519f6e681b074869bef21a1918e135d2fff59998d993c462bdd46751baee",
+        ),
+        (
+            "2 4\n18446744073709551617 0\n-5 3\n0 -9223372036854775809\n"
+            "7 7\n",
+            "skyline",
+            "5bd0c2f091ec461114a1e188fa84a4b127a361ebb15c5fe09cffb23fe63b53af",
+        ),
+    ],
+    ids=["int", "mixed", "beyond-int64"],
+)
+def test_cli_plot_svg_digest(tmp_path, capsys, text, family, digest):
+    path = write(tmp_path, "p.txt", text)
+    out_path = tmp_path / "p.svg"
+    code, _, _ = run(
+        capsys, "plot", path, "--family", family, "--svg", str(out_path)
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_verify_negative_candidate_with_equals_sign(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "1 3\n-5\n0\n5\n")
     code, out, _ = run(
@@ -553,7 +624,7 @@ def test_cli_generate_tightness(tmp_path, capsys):
     )
     assert code == 0
     parsed = parse_point_file(out_path.read_text())
-    assert len(parsed.points) == 8
+    assert len(parsed.rows) == 8
 
 
 @pytest.mark.parametrize("jitter", ["nan", "inf"])
@@ -600,7 +671,7 @@ def test_cli_generate_degenerate(tmp_path, capsys):
     )
     assert code == 0
     parsed = parse_point_file(out_path.read_text())
-    assert len(parsed.points) == 8
+    assert len(parsed.rows) == 8
 
 
 def test_cli_size_guard_env_override(tmp_path, capsys, monkeypatch):
@@ -633,14 +704,15 @@ def test_cli_contains_counts_match_per_point_loop(
     code, out, _ = run(capsys, "compute", path, "--family", family)
     assert code == 0
     point_file = parse_point_file(text)
+    points = list(map(point_file.point, range(len(point_file.rows))))
     cert = compute_strong_centerpoint(
-        point_file.points, named_family(family, point_file.dim)
+        points, named_family(family, point_file.dim)
     )
     offsets = re.findall(r"^    offset: (.+)$", out, flags=re.M)
     contains = re.findall(r"^    contains: (\d+)$", out, flags=re.M)
     assert offsets == [format_number(h.offset) for h in cert.halfspaces]
     assert [int(c) for c in contains] == [
-        sum(1 for p in point_file.points if h.contains(p))
+        sum(1 for p in points if h.contains(p))
         for h in cert.halfspaces
     ]
 

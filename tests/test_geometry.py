@@ -22,10 +22,8 @@ from strongcenter import (
 def test_point_basics():
     p = Point(1, 2)
     assert p.dim == 2
-    assert p.is_integral
     assert tuple(p) == (1, 2)
     assert p == Point((1, 2))
-    assert Point(0.5, 1).is_integral is False
 
 
 def test_point_rejects_bad_coordinates():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strongcenter import ParseError, Point
+from strongcenter import ParseError
 from strongcenter.cli import main
 from strongcenter.pointfile import parse_number, parse_point_file
 
@@ -94,11 +94,6 @@ def test_columnar_parser_matches_per_token_oracle(case):
     for j, column in enumerate(parsed.columns):
         got = column.tolist() if isinstance(column, np.ndarray) else column
         assert typed(got) == typed([v[j] for v in values])
-    want = tuple(Point(tuple(v)) for v in values)
-    assert parsed.points == want
-    assert [typed(p.coords) for p in parsed.points] == [
-        typed(v) for v in values
-    ]
     for i, row_values in enumerate(values):
         assert typed(parsed.point(i).coords) == typed(row_values)
     # the whole-file int64 conversion runs exactly for plain int64 tokens

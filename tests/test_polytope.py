@@ -428,8 +428,9 @@ def test_overflowing_projection_is_an_input_error():
     family = normalize_orientations([(-4, -3), (-1, 1)])
     with _raises_overflow(Orientation(-4, -3)):
         compute_strong_centerpoint(points, family)
-    with _raises_overflow(Orientation(-4, -3)):
-        max_avoiding_count(points, family, Point(0.5, 1))
+    for call in (max_avoiding_count, brute_force_max_avoiding):
+        with _raises_overflow(Orientation(-4, -3)):
+            call(points, family, Point(0.5, 1))
     # float64 columns, and object columns (big ints next to floats)
     cases = [
         ([(2, 3), (1e308, -1e308), (0.5, 1), (-2, 3)],
@@ -444,9 +445,13 @@ def test_overflowing_projection_is_an_input_error():
 
 def test_overflowing_candidate_projection_is_an_input_error():
     # Along (4, 3) all 3 points lie strictly below (1e308, -1e308), whose
-    # projection 4e308 - 3e308 is nan in float64.
+    # projection 4e308 - 3e308 is nan in float64. The oracle raises too: a
+    # nan compares false against every offset, so every polytope would
+    # seem to avoid the candidate.
     points = [Point(0, 0), Point(1, 1), Point(2, 5)]
     family = normalize_orientations([(4, 3), (-4, -3)])
-    for call in (verify_strong_centerpoint, max_avoiding_count):
+    for call in (
+        verify_strong_centerpoint, max_avoiding_count, brute_force_max_avoiding
+    ):
         with _raises_overflow(Orientation(4, 3)):
             call(points, family, Point(1e308, -1e308))

@@ -253,14 +253,15 @@ def test_oracle_examples():
     assert brute_force_strong_centerpoints(system) == [2]
 
 
-def test_oracle_size_guard():
+def test_oracle_size_guard(monkeypatch):
     # guard is on the n * |sets| scan cost
     system = SetSystem(21_000_000, ((0, 1),), 2)
     with pytest.raises(SizeGuardError):
         brute_force_strong_centerpoints(system)
     small = SetSystem(100, ((0, 1),), 2)
+    monkeypatch.setenv("SC_SIZE_GUARD", "10")
     with pytest.raises(SizeGuardError):
-        brute_force_strong_centerpoints(small, budget=10)
+        brute_force_strong_centerpoints(small)
 
 
 # ---------------------------------------------------------------- checker
