@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatchError, ParseError, check_size_guard
 from .geometry import Point, heavy_threshold_exceeded
 
@@ -279,30 +281,6 @@ def _integer_coords(points) -> list:
     return [tuple(num * (scale // d) for num, d in r) for r in ratios]
 
 
-def _flat_key(span):
-    """Canonical ``normal + (offset,)`` of the hyperplane through ``dim``
-    integer locations, the normal gcd-reduced with its first nonzero
-    component positive; None if they do not span one."""
-    anchor = span[0]
-    u = [x - y for x, y in zip(span[1], anchor)]
-    if len(span) == 2:
-        normal = (-u[1], u[0])
-    else:
-        v = [x - y for x, y in zip(span[2], anchor)]
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-    g = math.gcd(*normal)
-    if g == 0:
-        return None
-    if next(filter(None, normal)) < 0:
-        g = -g
-    normal = tuple(c // g for c in normal)
-    return normal + (sum(c * x for c, x in zip(normal, anchor)),)
-
-
 def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     """Incidence system of the hyperplanes spanned by a point set.
 
@@ -311,12 +289,11 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     ``dim``, matching how many such sets can share more than one point
     without sharing their whole flat. When n <= dim all points lie on one
     common hyperplane, so the system is the single set of all indices.
-    Incidence is exact, with no tolerance: all coordinates are scaled by
-    one common power of two into integers, so float points are incident
-    only when they lie on the hyperplane exactly. Each d-tuple of distinct
-    locations that spans a hyperplane is keyed by its canonical normal and
-    offset, and each set gathers the points at the locations of one key.
-    The C(n, d) spans are size-guarded.
+    Incidence is exact: coordinates are scaled by one common power of two
+    into integers, and one numpy pass keys each d-tuple of distinct locations
+    by its gcd-reduced normal, first nonzero component positive, and offset,
+    in int64 while the coordinate bound keeps them below 2**62, else in
+    Python ints. The C(n, d) spans are size-guarded; memory grows with them.
     """
     if dim not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
@@ -337,22 +314,45 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     at: dict = {}  # distinct location -> the indices of its points
     for index, location in enumerate(_integer_coords(pts)):
         at.setdefault(location, []).append(index)
-    locations = list(at)
-    flats: dict = {}
-    for span in itertools.combinations(range(len(locations)), dim):
-        key = _flat_key([locations[i] for i in span])
-        if key is None:
-            continue
-        # spans come in lexicographic order: a flat's first span starts at
-        # its lowest location, and the spans starting there cover the flat
-        members = flats.setdefault(key, [span[0]])
-        if members[0] == span[0]:
-            members.extend(span[1:])
-    ids = list(at.values())
-    sets = sorted(
-        tuple(sorted(i for j in set(m) for i in ids[j])) for m in flats.values()
-    )
-    return SetSystem(n, tuple(sets), dim)
+    bound = max(map(abs, itertools.chain.from_iterable(at)))
+    # |normal| <= (dim - 1)! (2 bound)**(dim - 1), |offset| <= dim |normal| bound
+    normal_bound = math.factorial(dim - 1) * (2 * bound) ** (dim - 1)
+    coords = np.array(list(at), np.int64 if normal_bound < 2**62 else object)
+    combos = itertools.combinations(range(len(at)), dim)
+    spans = np.fromiter(itertools.chain.from_iterable(combos), np.int64)
+    spans = spans.reshape(-1, dim)
+    anchor = coords[spans[:, 0]]
+    u = coords[spans[:, 1]] - anchor
+    normal = (np.cross(u, coords[spans[:, 2]] - anchor) if dim == 3
+              else u[:, ::-1] * [1, -1])
+    g = np.gcd.reduce(normal, axis=1)
+    spans, anchor, normal, g = (a[g != 0] for a in (spans, anchor, normal, g))
+    first = normal[np.arange(len(g)), (normal != 0).argmax(axis=1)]
+    normal = normal // np.where(first < 0, -g, g)[:, None]
+    wide = dim * normal_bound * bound >= 2**62
+    offset = (normal.astype(object if wide else normal.dtype) * anchor).sum(axis=1)
+    order = np.lexsort((offset, *normal.T))
+    offset, normal = offset[order], normal[order]
+    # increasing flat numbers that step wherever the sorted key changes
+    step = (normal != np.roll(normal, 1, axis=0)).any(axis=1)
+    flat = np.cumsum(step | (offset != np.roll(offset, 1)))
+    location = spans[order].ravel()
+    del spans, anchor, u, g, first, normal, offset, step  # lowers the peak
+    # each span location expands to its ids, listed by location in owners
+    size = np.fromiter(map(len, at.values()), np.int64)
+    owners = np.fromiter(itertools.chain.from_iterable(at.values()), np.int64)
+    reps = size[location]
+    picks = np.repeat(np.cumsum(size)[location] - np.cumsum(reps), reps)
+    picks += np.arange(len(picks))
+    members = np.sort(np.repeat(flat, dim).repeat(reps) * n + owners[picks])
+    flat, ids = np.divmod(members[np.diff(members, prepend=-1) != 0], n)
+    lo = np.flatnonzero(np.diff(flat, prepend=-1))
+    hi = np.append(lo[1:], len(ids))
+    # flats in order of their first two ids leave the final sort little to do
+    rank = np.argsort(ids[lo] * n + ids[lo + 1])
+    listed = np.arange(n).astype(object)[ids].tolist()  # one int per id
+    cuts = zip(lo[rank].tolist(), hi[rank].tolist())
+    return SetSystem(n, tuple(sorted(tuple(listed[a:b]) for a, b in cuts)), dim)
 
 
 def format_set_system(system: SetSystem) -> str:

@@ -56,12 +56,12 @@ def _clip_halfplane(polygon, ux, uy, offset):
 def _line_in_rect(ux, uy, offset, rect):
     """Segment of the line ux*x + uy*y = offset inside a rectangle, or None."""
     x0, y0, x1, y1 = rect
-    norm_sq = ux * ux + uy * uy
-    ax = ux * offset / norm_sq
-    ay = uy * offset / norm_sq
+    # dividing first keeps the foot point finite for an offset near the
+    # float64 limit; only the rectangle bounds the segment, however large
+    along = offset / (ux * ux + uy * uy)
+    ax, ay = ux * along, uy * along
     wx, wy = -uy, ux
-    t_lo = -1e18
-    t_hi = 1e18
+    t_lo, t_hi = -math.inf, math.inf
     for p, q in (
         (-wx, ax - x0),
         (wx, x1 - ax),

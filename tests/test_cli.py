@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import time
 import warnings
@@ -14,7 +15,7 @@ from strongcenter import (
     tightness_instance,
     verify_strong_centerpoint,
 )
-from strongcenter import cli, polytope, setsystem
+from strongcenter import cli, polytope, setsystem, svgplot
 from strongcenter.cli import main
 from strongcenter.families import named_family
 from strongcenter.pointfile import (
@@ -155,6 +156,23 @@ def test_plot_deterministic():
     point_file = parse_point_file(format_points(inst.points))
     cert = compute_strong_centerpoint(point_file, inst.family)
     assert render_plot(point_file, cert) == render_plot(point_file, cert)
+
+
+def test_line_in_rect_offset_near_float_limit():
+    # ux * offset overflows float64 here; offset / |u|^2 does not
+    rect = (0.0, 0.0, 1e308, 1e308)
+    (ax, ay), (bx, by) = svgplot._line_in_rect(3.0, 4.0, 1.4e308, rect)
+    assert math.isclose(ax, 1.4e308 / 3) and ay == 0.0
+    assert bx == 0.0 and math.isclose(by, 1.4e308 / 4)
+
+
+def test_line_in_rect_reaches_a_wide_box():
+    # the segment runs corner to corner, not out to a fixed parameter bound
+    rect = (-1e20, -1e20, 1e20, 1e20)
+    assert svgplot._line_in_rect(1.0, 1.0, 0.0, rect) == (
+        (1e20, -1e20),
+        (-1e20, 1e20),
+    )
 
 
 def test_plot_takes_a_point_file():
@@ -569,6 +587,20 @@ def test_cli_plot_view_box_overflow_exits_2(tmp_path, capsys, text):
     assert not out_path.exists()
 
 
+def test_cli_plot_draws_a_line_with_offset_near_float_limit(tmp_path, capsys):
+    # the normal 3 4 has offset 1.4e308 at the point (2e307, 2e307)
+    big, far = 2 * 10**307, 10**307
+    path = write(tmp_path, "p.txt", f"2 3\n{big} {big}\n0 0\n-{far} {far}\n")
+    normals = write(tmp_path, "f.txt", "2 3\n3 4\n-3 -4\n1 -1\n")
+    out_path = tmp_path / "p.svg"
+    code, _, err = run(
+        capsys, "plot", path, "--family", "custom:" + normals,
+        "--svg", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert out_path.read_text().count("<line") == 3
+
+
 # byte-exact plots of int64, mixed int/float and beyond-int64 columns
 @pytest.mark.parametrize(
     "text, family, digest",
@@ -587,7 +619,7 @@ def test_cli_plot_view_box_overflow_exits_2(tmp_path, capsys, text):
             "2 4\n18446744073709551617 0\n-5 3\n0 -9223372036854775809\n"
             "7 7\n",
             "skyline",
-            "5bd0c2f091ec461114a1e188fa84a4b127a361ebb15c5fe09cffb23fe63b53af",
+            "ae640ad19e5a179fc01b253ee71a41ceddeb6b571c0966a85f3e4d6c5b3b64a4",
         ),
     ],
     ids=["int", "mixed", "beyond-int64"],

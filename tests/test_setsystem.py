@@ -675,6 +675,77 @@ def test_hyperplane_big_integers_mixed_with_floats_stay_exact():
     assert hyperplane_system(points, 2).sets == sets
 
 
+def _edge_points(b, dim):
+    """Points with coordinates up to ``b``: flats through three or more of
+    them, a duplicate, and a float twin of one location."""
+    if dim == 2:
+        return [
+            (b, b), (-b, -b), (0, 0), (1, 1), (b, -b), (-b, b), (b, 1 - b),
+            (b, 0), (b, b), (float(b), float(b)),
+        ]
+    return [
+        (b, b, b), (-b, -b, -b), (0, 0, 0), (b, -b, 0), (-b, b, 0),
+        (b, b, -b), (0, 0, b), (1, 1, 1), (b, -b, 1 - b), (b, b, b),
+        (float(b), float(-b), 0.0),
+    ]
+
+
+# hyperplane_system keeps offsets in int64 while the scaled coordinate
+# bound B has dim! * 2**(dim - 1) * B**dim < 2**62, that is B < 2**30 for
+# lines and B <= 577350 for planes, and normals while
+# (dim - 1)! * (2 * B)**(dim - 1) < 2**62; past either, Python ints
+@pytest.mark.parametrize(
+    "dim, coords",
+    [
+        (2, _edge_points(2**30 - 1, 2)),
+        (2, _edge_points(2**30, 2)),
+        # the 0.5 doubles the scale, so the scaled bound is 2**30
+        (2, _edge_points(2**29, 2) + [(0.5, -0.5), (2**29 - 0.5, 0)]),
+        (2, _edge_points(2**61, 2)),
+        (3, _edge_points(577350, 3)),
+        (3, _edge_points(577351, 3)),
+        # scaled bound 577352
+        (3, _edge_points(288676, 3) + [(0.5, 0.5, -0.5)]),
+        (3, _edge_points(2**31, 3)),
+    ],
+    ids=[
+        "lines-below", "lines-above", "lines-scaled-above", "lines-object",
+        "planes-below", "planes-above", "planes-scaled-above",
+        "planes-object",
+    ],
+)
+def test_hyperplane_system_exact_across_the_int64_limit(dim, coords):
+    system = hyperplane_system([Point(c) for c in coords], dim)
+    rational = [tuple(Fraction(x) for x in c) for c in coords]
+    assert system.sets == exact_hyperplane_sets(rational, dim)
+
+
+def test_hyperplane_parallel_flats_offsets_two_to_the_64_apart():
+    # normal (1, 2**33): offsets 0 and 2**64 agree modulo 2**64, so int64
+    # offsets would merge the two lines (and the two planes through them)
+    lines = [(0, 0), (2**33, -1), (0, 2**31), (2**33, 2**31 - 1)]
+    system = hyperplane_system([Point(c) for c in lines], 2)
+    assert system.sets == tuple(itertools.combinations(range(4), 2))
+    assert system.sets == exact_hyperplane_sets(lines, 2)
+    planes = [c + (0,) for c in lines] + [(0, 0, 1), (0, 2**31, 1)]
+    system = hyperplane_system([Point(c) for c in planes], 3)
+    assert system.sets == exact_hyperplane_sets(planes, 3)
+    assert (0, 1, 4) in system.sets and (2, 3, 5) in system.sets
+
+
+def test_hyperplane_system_exact_on_degenerate_grids():
+    # many lines and planes of the grid hold more than d points
+    rng = random.Random(14)
+    grid = rng.sample(list(itertools.product(range(6), repeat=2)), 36)
+    system = hyperplane_system([Point(c) for c in grid], 2)
+    assert system.sets == exact_hyperplane_sets(grid, 2)
+    assert max(map(len, system.sets)) == 6
+    cube = rng.sample(list(itertools.product(range(6), repeat=3)), 40)
+    system = hyperplane_system([Point(c) for c in cube], 3)
+    assert system.sets == exact_hyperplane_sets(cube, 3)
+    assert sum(len(s) > 3 for s in system.sets) > 100
+
+
 def test_restriction_keeps_property_on_line_systems():
     rng = random.Random(13)
     checked = 0
