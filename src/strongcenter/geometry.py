@@ -30,29 +30,31 @@ def _check_number(value, what: str) -> None:
 
 
 def _check_components(values, what: str) -> None:
+    """Check a non-empty run of components: an exact ``int`` or finite
+    ``float`` passes in the loop itself, and every other value is decided,
+    and its message built, by :func:`_check_number`."""
     if not values:
         raise ValueError(f"{what} needs at least one component")
     for v in values:
-        _check_number(v, f"{what} component")
-
-
-def _unpack(args):
-    if len(args) == 1 and isinstance(args[0], (tuple, list)):
-        return tuple(args[0])
-    return args
+        t = type(v)
+        if t is not int and (t is not float or not math.isfinite(v)):
+            _check_number(v, f"{what} component")
 
 
 class Point:
     """A point in d-dimensional space.
 
     Accepts ``Point(1, 2)`` or ``Point((1, 2))``. Integer coordinates are
-    kept exact; float coordinates must be finite.
+    kept exact; float coordinates must be finite. ``bool`` is rejected, and
+    int and float subclasses (``np.float64``, an ``IntEnum``) are accepted
+    and stored as given.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, *coords):
-        coords = _unpack(coords)
+        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
+            coords = tuple(coords[0])
         _check_components(coords, "point")
         self.coords = coords
 
@@ -93,7 +95,8 @@ class Orientation:
     __slots__ = ("direction",)
 
     def __init__(self, *direction):
-        direction = _unpack(direction)
+        if len(direction) == 1 and isinstance(direction[0], (tuple, list)):
+            direction = tuple(direction[0])
         _check_components(direction, "orientation")
         if not any(direction):
             raise ValueError("orientation must be a nonzero vector")

@@ -7,13 +7,14 @@ so reports can echo coordinates as they were typed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionMismatchError, ParseError
 from .geometry import Point
 
 _INT_TOKEN = re.compile(r"[+-]?\d+\Z")
@@ -31,7 +32,8 @@ class PointFile:
 
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
-    floats; the polytope functions and ``render_plot`` read these, and
+    floats; :meth:`from_points` builds tuple columns of the points' own
+    values. The polytope functions and ``render_plot`` read these, and
     ``point(i)`` parses one row into a Point. ``projectors`` maps each
     family to the projection arrays the polytope functions built for it;
     they stay in memory for as long as the PointFile does.
@@ -44,9 +46,40 @@ class PointFile:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def from_points(cls, points) -> "PointFile":
+        """A PointFile of a non-empty sequence of Points of one dimension,
+        with rows as :func:`format_points` writes them. A caller verifying
+        many candidates converts the points once this way, and the
+        projections are kept as for a parsed file."""
+        first = points[0] if len(points) else None
+        dim = first.dim if isinstance(first, Point) else 0
+        columns = point_columns(points, dim)
+        rows = tuple(map(_format_row, points))
+        return cls(dim, tuple(map(tuple, columns)), rows)
+
     def point(self, index: int) -> Point:
         """The point on row ``index``, parsed token by token."""
         return Point(tuple(map(parse_number, self.rows[index].split())))
+
+
+def point_columns(points, dim: int) -> list:
+    """Per-axis coordinate lists of ``points``, each checked to be a Point
+    of dimension ``dim``."""
+    if len(points) == 0:
+        raise ValueError("empty point set")
+    if not (
+        all(map(isinstance, points, itertools.repeat(Point)))
+        and {len(p.coords) for p in points} == {dim}
+    ):
+        for idx, p in enumerate(points):  # name the first bad entry
+            if not isinstance(p, Point):
+                raise TypeError(f"points[{idx}] is not a Point")
+            if p.dim != dim:
+                raise DimensionMismatchError(
+                    f"points[{idx}] has dimension {p.dim}, expected {dim}"
+                )
+    return [[p.coords[j] for p in points] for j in range(dim)]
 
 
 def parse_number(token: str):
@@ -67,8 +100,11 @@ def parse_number(token: str):
 
 
 def format_number(value) -> str:
-    """Shortest text that parses back to the same value."""
-    return repr(value) if isinstance(value, float) else str(value)
+    """Shortest text that parses back to the same value, written as a plain
+    int or float for a subclass such as ``np.float64``."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return int.__repr__(value) if isinstance(value, int) else str(value)
 
 
 def parse_point_file(text: str) -> PointFile:
@@ -139,7 +175,9 @@ def format_points(points) -> str:
         raise ValueError("no points to format")
     dim = points[0].dim
     lines = [f"{dim} {len(points)}"]
-    lines.extend(
-        " ".join(format_number(c) for c in p.coords) for p in points
-    )
+    lines.extend(map(_format_row, points))
     return "\n".join(lines) + "\n"
+
+
+def _format_row(point: Point) -> str:
+    return " ".join(map(format_number, point.coords))

@@ -27,7 +27,7 @@ from .geometry import (
     kth_smallest,
     project,
 )
-from .pointfile import PointFile
+from .pointfile import PointFile, point_columns
 
 # Dot products of int64 columns stay exact below this product bound.
 _INT64_SAFE = 2**62
@@ -116,7 +116,7 @@ class _Projector:
                 )
             columns, self.point = points.columns, points.point
         else:
-            columns = _point_columns(points, dim)
+            columns = point_columns(points, dim)
             self.point = points.__getitem__
         self.family = family
         self.n = len(columns[0])
@@ -175,25 +175,6 @@ class _Projector:
             contains.append(int(np.count_nonzero(within)))
             inside &= within
         return np.flatnonzero(inside).tolist(), contains
-
-
-def _point_columns(points: Sequence[Point], dim: int) -> list:
-    """Per-axis coordinate lists of ``points``, each checked to be a Point
-    of dimension ``dim``."""
-    if len(points) == 0:
-        raise ValueError("empty point set")
-    if not (
-        all(map(isinstance, points, itertools.repeat(Point)))
-        and {len(p.coords) for p in points} == {dim}
-    ):
-        for idx, p in enumerate(points):  # name the first bad entry
-            if not isinstance(p, Point):
-                raise TypeError(f"points[{idx}] is not a Point")
-            if p.dim != dim:
-                raise DimensionMismatchError(
-                    f"points[{idx}] has dimension {p.dim}, family has {dim}"
-                )
-    return [[p.coords[j] for p in points] for j in range(dim)]
 
 
 def _column_arrays(columns, family: OrientationFamily) -> list:

@@ -56,10 +56,14 @@ def _clip_halfplane(polygon, ux, uy, offset):
 def _line_in_rect(ux, uy, offset, rect):
     """Segment of the line ux*x + uy*y = offset inside a rectangle, or None."""
     x0, y0, x1, y1 = rect
-    # dividing first keeps the foot point finite for an offset near the
-    # float64 limit; only the rectangle bounds the segment, however large
-    along = offset / (ux * ux + uy * uy)
-    ax, ay = ux * along, uy * along
+    # the foot point of the line, from the normal scaled exactly by a power
+    # of two: its squares stay finite for components past 1e154, and
+    # dividing first keeps an offset near the float64 limit finite; only
+    # the rectangle bounds the segment, however large
+    e = math.frexp(max(abs(ux), abs(uy)))[1]
+    sx, sy = math.ldexp(ux, -e), math.ldexp(uy, -e)
+    along = math.ldexp(offset, -e) / (sx * sx + sy * sy)
+    ax, ay = sx * along, sy * along
     wx, wy = -uy, ux
     t_lo, t_hi = -math.inf, math.inf
     for p, q in (

@@ -166,6 +166,15 @@ def test_line_in_rect_offset_near_float_limit():
     assert bx == 0.0 and math.isclose(by, 1.4e308 / 4)
 
 
+def test_line_in_rect_normal_past_square_range():
+    # ux * ux overflows float64 here; the power-of-two scaling does not
+    rect = (-10.0, -10.0, 10.0, 10.0)
+    assert svgplot._line_in_rect(1e200, 1e200, 4e200, rect) == (
+        (10.0, -6.0),
+        (-6.0, 10.0),
+    )
+
+
 def test_line_in_rect_reaches_a_wide_box():
     # the segment runs corner to corner, not out to a fixed parameter bound
     rect = (-1e20, -1e20, 1e20, 1e20)
@@ -599,6 +608,31 @@ def test_cli_plot_draws_a_line_with_offset_near_float_limit(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     assert out_path.read_text().count("<line") == 3
+
+
+def test_cli_plot_draws_a_line_with_normal_past_square_range(
+    tmp_path, capsys
+):
+    # the normal 10**200 10**200+1 holds its points below offset about 4e200
+    big = 10**200
+    path = write(tmp_path, "p.txt", "2 3\n0 0\n4 0\n0 4\n")
+    normals = write(
+        tmp_path, "f.txt", f"2 3\n{big} {big + 1}\n{-big} {-big - 1}\n1 -1\n"
+    )
+    out_path = tmp_path / "p.svg"
+    code, _, err = run(
+        capsys, "plot", path, "--family", "custom:" + normals,
+        "--svg", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    lines = re.findall(
+        r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)"',
+        out_path.read_text(),
+    )
+    # x + y = 4 runs corner to corner of the view box [-0.6, 4.6]^2, apart
+    # from the line x + y = 0 of the second normal
+    assert lines[0] == ("592.00", "592.00", "48.00", "48.00")
+    assert len(set(lines)) == 3
 
 
 # byte-exact plots of int64, mixed int/float and beyond-int64 columns

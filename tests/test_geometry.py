@@ -1,7 +1,10 @@
+import enum
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from strongcenter import (
     normalize_orientations,
     project,
 )
+from strongcenter.geometry import _check_number
 
 
 def test_point_basics():
@@ -37,6 +41,67 @@ def test_point_rejects_bad_coordinates():
         Point("3", 1)
     with pytest.raises(TypeError):
         Point(True, 1)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Real(float):
+    pass
+
+
+_COMPONENTS = st.one_of(
+    st.integers(-(2**100), 2**100),
+    st.floats(),
+    st.sampled_from([
+        -0.0, 5e-324, math.inf, -math.inf, math.nan,
+        True, False, np.float64(2.5), np.float64("nan"), np.int64(3),
+        _Level.HIGH, _Real(math.inf), _Real(-1.5),
+        Fraction(1, 3), Decimal("1"), "1", None,
+    ]),
+)
+
+
+def _outcome(make, *args):
+    """What ``make(*args)`` does: (None, result), or the exception's type
+    and message."""
+    try:
+        return None, make(*args)
+    except (TypeError, ValueError) as exc:
+        return (type(exc), str(exc)), None
+
+
+def _check_loop(values, what):
+    """The constructor rule, as a plain loop of ``_check_number``."""
+    if not values:
+        raise ValueError(f"{what} needs at least one component")
+    for v in values:
+        _check_number(v, f"{what} component")
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(_COMPONENTS, max_size=4),
+    st.sampled_from(["args", "tuple", "list"]),
+)
+def test_constructors_decide_as_a_check_number_loop(values, form):
+    args = {
+        "args": tuple(values), "tuple": (tuple(values),), "list": (values,)
+    }[form]
+    for cls, what in ((Point, "point"), (Orientation, "orientation")):
+        expected, _ = _outcome(_check_loop, tuple(values), what)
+        error, made = _outcome(cls, *args)
+        if expected is not None or cls is Point:
+            assert error == expected
+        elif error is not None:  # the one further rule of Orientation
+            assert not any(values)
+            assert error == (ValueError, "orientation must be a nonzero vector")
+        if cls is Point and made is not None:
+            assert len(made.coords) == len(values)
+            assert all(c is v for c, v in zip(made.coords, values))
+            if form == "tuple":
+                assert made.coords is args[0]
 
 
 def test_orientation_gcd_canonical_form():

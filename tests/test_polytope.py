@@ -1,6 +1,8 @@
+import enum
 import random
 import re
 
+import numpy as np
 import pytest
 
 from strongcenter import (
@@ -8,6 +10,7 @@ from strongcenter import (
     Orientation,
     OrientationFamily,
     Point,
+    PointFile,
     SizeGuardError,
     axis_box_family,
     brute_force_max_avoiding,
@@ -363,6 +366,68 @@ def test_point_file_may_stand_in_for_points():
             point_file, axis_box_family(3), Point(1, 0, 0)
         )
     assert len(point_file.projectors) == 1
+
+
+def _seeded_points(kind, seed, n=40):
+    rng = random.Random(seed)
+    draw = {
+        "int": lambda: rng.randint(-50, 50),
+        "float": lambda: rng.uniform(-50.0, 50.0),
+        "mixed": lambda: rng.choice([rng.randint(-50, 50), rng.random()]),
+        "beyond-int64": lambda: rng.randint(-(2**70), 2**70),
+    }[kind]
+    return [Point(draw(), draw()) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "mixed", "beyond-int64"])
+@pytest.mark.parametrize("seed", range(5))
+def test_point_file_from_points_answers_as_the_list(kind, seed):
+    points = _seeded_points(kind, seed)
+    point_file = PointFile.from_points(points)
+    assert point_file.dim == 2 and len(point_file.rows) == len(points)
+    assert [point_file.point(i) for i in range(len(points))] == points
+    assert point_file.columns == tuple(zip(*(p.coords for p in points)))
+    for family in (axis_box_family(2), downward_triangle_family()):
+        cert = compute_strong_centerpoint(point_file, family)
+        assert cert == compute_strong_centerpoint(points, family)
+        for candidate in (cert.point, points[seed], Point(0, 0)):
+            assert verify_strong_centerpoint(point_file, family, candidate) \
+                == verify_strong_centerpoint(points, family, candidate)
+    assert len(point_file.projectors) == 2
+
+
+def test_point_file_from_points_rows_are_format_points_rows():
+    points = _seeded_points("mixed", 7, n=5)
+    text = format_points(points)
+    assert PointFile.from_points(points) == parse_point_file(text)
+
+
+def test_point_file_from_points_writes_subclass_values_plainly():
+    class Level(enum.IntEnum):
+        HIGH = 7
+
+    points = [Point(np.float64(2.5), Level.HIGH), Point(-0.0, 2**70)]
+    point_file = PointFile.from_points(points)
+    assert point_file.rows == ("2.5 7", "-0.0 1180591620717411303424")
+    assert [point_file.point(i) for i in range(2)] == points
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([], ValueError, "empty point set"),
+        ([(1, 2)], TypeError, r"points\[0\] is not a Point"),
+        ([Point(1, 2), None], TypeError, r"points\[1\] is not a Point"),
+        (
+            [Point(1, 2), Point(1, 2, 3)],
+            DimensionMismatchError,
+            r"points\[1\] has dimension 3, expected 2",
+        ),
+    ],
+)
+def test_point_file_from_points_errors(points, error, message):
+    with pytest.raises(error, match=message):
+        PointFile.from_points(points)
 
 
 def test_point_file_projector_follows_direction_types():
