@@ -2,14 +2,9 @@
 
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
-of them. The solver intersects the input's heavy sets, and at order
-k >= 3 restricts once to the largest heavy set, which then is the whole
-ground set and stays the largest heavy set at every lower order, so the
-levels down to order 2 change nothing but the order. It prefers the
-common elements of the restricted sets heavy at order 2, which lie inside
-the input's heavy intersection, and falls back to that intersection; when
-both are empty its witness names the input's heavy sets. The brute-force
-oracle intersects heavy sets with no restriction at all and stays the
+of them. The solver reads the system's CSR columns and builds no
+restricted system; the brute-force oracle reads the sets' tuples,
+intersects heavy sets with no restriction at all and stays the
 independent route for tests.
 """
 
@@ -17,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,43 +26,60 @@ class SetSystem:
     """Ground set 0..n-1 with distinct nonempty subsets and the order k.
 
     Sets are tuples of strictly ascending element ids. Use
-    :meth:`from_sets` to canonicalize arbitrary iterables.
+    :meth:`from_sets` to canonicalize arbitrary iterables. Validation runs
+    on two CSR columns, kept outside ``==`` and ``hash``: ``ids``, int64
+    when every id is a plain int that fits, else an object array, and
+    ``indptr``; set i is ``ids[indptr[i]:indptr[i + 1]]``.
     """
 
     n: int
     sets: tuple
     k: int
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"ground size must be a positive int, got {self.n!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"order k must be an int >= 2, got {self.k!r}")
-        sets = tuple(tuple(s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        seen = set()
-        for index, s in enumerate(sets):
-            if not s:
-                raise ValueError(f"set {index} is empty")
-            previous = -1
-            for element in s:
-                if isinstance(element, bool) or not isinstance(element, int):
-                    raise TypeError(
-                        f"set {index} holds non-int element {element!r}"
-                    )
-                if element <= previous:
-                    raise ValueError(
-                        f"set {index} is not strictly ascending"
-                    )
-                previous = element
-            if s[-1] >= self.n:
-                raise ValueError(
-                    f"set {index} references element {s[-1]} outside "
-                    f"0..{self.n - 1}"
-                )
-            if s in seen:
-                raise ValueError(f"set {index} duplicates an earlier set")
-            seen.add(s)
+        sets = tuple(map(tuple, self.sets))
+        flat = list(itertools.chain.from_iterable(sets))
+        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        valid = sizes.all() and set(map(type, flat)) <= {int}
+        if valid:
+            try:
+                ids = np.fromiter(flat, np.int64, len(flat))
+            except OverflowError:
+                ids = np.array(flat, object)
+            del flat  # lowers the peak
+            rises = ids[1:] > ids[:-1]  # unlike np.diff, cannot wrap in int64
+            rises[indptr[1:-1] - 1] = True  # pairs across two sets; starts: >= 0
+            valid = (rises.all() and (ids[indptr[:-1]] >= 0).all()
+                     and int(ids.max(initial=-1)) < self.n
+                     and len(set(sets)) == len(sets))
+        if not valid:  # the first faulty set names the error
+            seen = set()
+            for index, s in enumerate(sets):
+                if not s:
+                    raise ValueError(f"set {index} is empty")
+                for before, element in zip((-1,) + s, s):
+                    if isinstance(element, bool) or not isinstance(element, int):
+                        raise TypeError(
+                            f"set {index} holds non-int element {element!r}")
+                    if element <= before:
+                        raise ValueError(f"set {index} is not strictly ascending")
+                if s[-1] >= self.n:
+                    raise ValueError(f"set {index} references element {s[-1]} "
+                                     f"outside 0..{self.n - 1}")
+                if s in seen:
+                    raise ValueError(f"set {index} duplicates an earlier set")
+                seen.add(s)
+            # only int subclasses get here
+            ids = np.array(list(itertools.chain.from_iterable(sets)), object)
+        for name, value in (("sets", sets), ("ids", ids), ("indptr", indptr)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_sets(cls, n: int, sets, k: int) -> "SetSystem":
@@ -104,14 +116,6 @@ class AbstractResult:
         return self.element is not None
 
 
-def _heavy_indices(system: SetSystem) -> list[int]:
-    return [
-        i
-        for i, s in enumerate(system.sets)
-        if heavy_threshold_exceeded(len(s), system.n, system.k)
-    ]
-
-
 def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
     """Restrict the system to one of its sets, lowering the order by one.
 
@@ -136,48 +140,48 @@ def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
     return restricted, base
 
 
+def _shared(ids, sizes, chosen) -> np.ndarray:
+    """The ids in every chosen set, ascending: as no set repeats an id,
+    those are the ids counted once per chosen set."""
+    values, counts = np.unique(ids[np.repeat(chosen, sizes)], return_counts=True)
+    return values[counts == np.count_nonzero(chosen)]
+
+
 def strong_centerpoint(system: SetSystem) -> AbstractResult:
     """Find an element contained in every heavy set of the system.
 
     ``common`` is the intersection of the input's heavy sets. At order
-    k >= 3 the system is restricted once to the largest heavy set (ties
-    to the lowest index). The chosen set becomes the whole restricted
-    ground set, the unique largest set and heavy at every order, so each
-    level from k - 1 down to 3 would restrict to it again and change only
-    the order; the trace skips those levels and reads
-    ``((n, chosen), (|C|, None))``, or ``((n, None),)`` when nothing is
-    restricted. The restricted sets heavy at order 2 meet in ``deeper``,
-    mapped home through the recorded ground ids. Each input heavy set S
-    is heavy at order 2 once restricted to the chosen set C, since
-    |S ∩ C| > |C| - n/k >= |C|/2 when k >= 3, so ``deeper`` lies inside
-    ``common``. The smallest element of ``deeper`` wins, else that of
-    ``common``; with neither, the witness lists the input's heavy set
-    indices. The bounded-intersection property is not re-checked and
-    nothing raises; the cost is O(Σ|S|) at every order.
+    k >= 3 the restriction to the largest heavy set C (ties to the lowest
+    index) defines the trace ``((n, chosen), (|C|, None))``, else it is
+    ``((n, None),)``: C becomes the whole restricted ground set, so levels
+    k - 1 down to 3 would only lower the order. The restricted sets heavy
+    at order 2, the S ∩ C with 2|S ∩ C| > |C|, meet in ``deeper``, inside
+    ``common`` as each heavy S is among them when k >= 3. The smallest
+    element of ``deeper`` wins, else of ``common``; with neither, the
+    witness lists the heavy set indices. Nothing raises or re-checks the
+    property. No restricted system is built: ids are found in C by binary
+    search and |S ∩ C| summed per set. ``np.unique`` sorts, so the cost is
+    O(Σ|S| log Σ|S|) time and O(Σ|S|) memory, with nothing of length n.
     """
-    heavy = _heavy_indices(system)
-    if not heavy:
-        return AbstractResult(0, None, ((system.n, None),))
-    common = frozenset.intersection(
-        *(frozenset(system.sets[i]) for i in heavy)
-    )
-    trace = ((system.n, None),)
-    deeper = frozenset()
+    n, ids, indptr = system.n, system.ids, system.indptr
+    sizes = np.diff(indptr)
+    # size * k > (k - 1) * n: size > n - ceil(n / k), taken in Python ints
+    # and capped by len(ids), which no size exceeds, to stay in int64
+    heavy = sizes > min(n + (-n // system.k), len(ids))
+    if not heavy.any():
+        return AbstractResult(0, None, ((n, None),))
+    common, deeper, trace = _shared(ids, sizes, heavy), (), ((n, None),)
     if system.k > 2:
-        chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
-        restricted, back_ids = restrict(system, chosen)
-        trace = ((system.n, chosen), (restricted.n, None))
-        deeper = frozenset.intersection(
-            *(
-                frozenset(back_ids[e] for e in s)
-                for s in restricted.sets
-                if heavy_threshold_exceeded(len(s), restricted.n, 2)
-            )
-        )
-    elements = deeper or common
-    if elements:
-        return AbstractResult(min(elements), None, trace)
-    return AbstractResult(None, tuple(heavy), trace)
+        chosen = int(np.argmax(np.where(heavy, sizes, 0)))
+        base = ids[indptr[chosen] : indptr[chosen + 1]]
+        inside = base[np.minimum(np.searchsorted(base, ids), len(base) - 1)] == ids
+        deep = 2 * np.add.reduceat(inside, indptr[:-1]) > len(base)
+        deeper = _shared(ids, sizes, deep)  # C is deep, so deeper lies in C
+        trace = ((n, chosen), (len(base), None))
+    elements = deeper if len(deeper) else common
+    if len(elements):
+        return AbstractResult(int(elements[0]), None, trace)
+    return AbstractResult(None, tuple(np.flatnonzero(heavy).tolist()), trace)
 
 
 def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
@@ -188,13 +192,9 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     restriction.
     """
     check_size_guard(system.n * max(1, len(system.sets)))
-    heavy = _heavy_indices(system)
-    if not heavy:
-        return list(range(system.n))
-    common = frozenset.intersection(
-        *(frozenset(system.sets[i]) for i in heavy)
-    )
-    return sorted(common)
+    heavy = [frozenset(s) for s in system.sets
+             if heavy_threshold_exceeded(len(s), system.n, system.k)]
+    return sorted(frozenset.intersection(*heavy)) if heavy else list(range(system.n))
 
 
 def _violates(members, combo) -> bool:
@@ -383,7 +383,7 @@ def parse_set_system(text: str) -> SetSystem:
         if not parts:
             raise ParseError(f"line {line_no}: empty set")
         try:
-            sets.append(tuple(int(part) for part in parts))
+            sets.append(tuple(map(int, parts)))
         except ValueError:
             raise ParseError(
                 f"line {line_no}: element ids must be integers"

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import io
 import itertools
 import os
@@ -6,11 +7,13 @@ import random
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongcenter import (
+    AbstractResult,
     ParseError,
     Point,
     SetSystem,
@@ -55,6 +58,76 @@ def test_system_validation():
         SetSystem(4, ((0, 1), ()), 2)
     with pytest.raises(TypeError):
         SetSystem(4, ((0, 1.0),), 2)
+
+
+BIG = 2**70
+
+
+@pytest.mark.parametrize(
+    "n, sets, error, message",
+    [
+        (4, ((0, 1), ()), ValueError, "set 1 is empty"),
+        (4, ((0, True),), TypeError, "set 0 holds non-int element True"),
+        (4, ((0, 1), (0, 1.0)), TypeError, "set 1 holds non-int element 1.0"),
+        (4, ((np.int64(1),),), TypeError,
+         f"set 0 holds non-int element {np.int64(1)!r}"),
+        (4, ((0, 1), (2, 1)), ValueError, "set 1 is not strictly ascending"),
+        (4, ((0, 0),), ValueError, "set 0 is not strictly ascending"),
+        (4, ((-1, 0),), ValueError, "set 0 is not strictly ascending"),
+        # descending across the int64 range: a wrapped np.diff reads it as
+        # ascending
+        (BIG, ((2**62, -(2**62) - 2**61),), ValueError,
+         "set 0 is not strictly ascending"),
+        (4, ((0, 4),), ValueError, "set 0 references element 4 outside 0..3"),
+        (4, ((0, 1), (2,), (0, 1)), ValueError,
+         "set 2 duplicates an earlier set"),
+        # the first faulty set names the error, whatever the later ones hold
+        (4, ((0, 1), (0, 1), ()), ValueError, "set 1 duplicates an earlier set"),
+        (4, ((0, 2.0, 1),), TypeError, "set 0 holds non-int element 2.0"),
+        (4, ((2, 1, 1.5),), ValueError, "set 0 is not strictly ascending"),
+        (4, ((0, 5), (1, 0)), ValueError,
+         "set 0 references element 5 outside 0..3"),
+        (BIG, ((BIG - 1, BIG - 2),), ValueError,
+         "set 0 is not strictly ascending"),
+        (BIG, ((0,), (1, BIG)), ValueError,
+         f"set 1 references element {BIG} outside 0..{BIG - 1}"),
+        (BIG, ((-BIG, 0),), ValueError, "set 0 is not strictly ascending"),
+        (BIG, ((BIG - 1,), (BIG - 1,)), ValueError,
+         "set 1 duplicates an earlier set"),
+    ],
+)
+def test_validation_names_the_first_faulty_set(n, sets, error, message):
+    with pytest.raises(error) as info:
+        SetSystem(n, sets, 2)
+    assert str(info.value) == message
+
+
+def test_columns_hold_the_sets():
+    system = SetSystem(6, [[0, 1, 2, 3, 4], (3, 4, 5), (0, 5)], 3)
+    assert system.ids.dtype == np.int64
+    assert system.ids.tolist() == [0, 1, 2, 3, 4, 3, 4, 5, 0, 5]
+    assert system.indptr.tolist() == [0, 5, 8, 10]
+    empty = SetSystem(3, (), 2)
+    assert (empty.ids.tolist(), empty.indptr.tolist()) == ([], [0])
+    big = SetSystem(BIG, ((0, 2**69), (2**69, 2**69 + 1)), 3)
+    assert big.ids.dtype == object
+    assert big.ids.tolist() == [0, 2**69, 2**69, 2**69 + 1]
+    # the columns take no part in equality or hashing
+    assert big == SetSystem(BIG, ((0, 2**69), (2**69, 2**69 + 1)), 3)
+    assert hash(system) == hash(SetSystem(6, system.sets, 3))
+
+
+def test_int_subclass_members_are_accepted():
+    class Id(enum.IntEnum):
+        A = 1
+        B = 2
+
+    system = SetSystem(3, ((0, Id.A), (Id.A, Id.B)), 2)
+    assert system.ids.tolist() == [0, 1, 1, 2]
+    assert strong_centerpoint(system).element == 1
+    deep = SetSystem(3, ((0, Id.A, Id.B), (Id.A, Id.B)), 3)
+    assert strong_centerpoint(deep) == reference_strong_centerpoint(deep)
+    assert strong_centerpoint(deep).element == 1
 
 
 def test_from_sets_canonicalizes():
@@ -447,6 +520,106 @@ def test_solver_matches_oracle_on_checked_systems(system):
             if heavy_threshold_exceeded(len(s), system.n, system.k)
         )
         assert result.witness == heavy
+
+
+def reference_strong_centerpoint(system):
+    """The solver as it was before it read the CSR columns: it builds the
+    restricted system with ``restrict`` and intersects frozensets."""
+    heavy = [
+        i
+        for i, s in enumerate(system.sets)
+        if heavy_threshold_exceeded(len(s), system.n, system.k)
+    ]
+    if not heavy:
+        return AbstractResult(0, None, ((system.n, None),))
+    common = frozenset.intersection(*(frozenset(system.sets[i]) for i in heavy))
+    trace = ((system.n, None),)
+    deeper = frozenset()
+    if system.k > 2:
+        chosen = max(heavy, key=lambda i: (len(system.sets[i]), -i))
+        restricted, back_ids = restrict(system, chosen)
+        trace = ((system.n, chosen), (restricted.n, None))
+        deeper = frozenset.intersection(
+            *(
+                frozenset(back_ids[e] for e in s)
+                for s in restricted.sets
+                if heavy_threshold_exceeded(len(s), restricted.n, 2)
+            )
+        )
+    elements = deeper or common
+    if elements:
+        return AbstractResult(min(elements), None, trace)
+    return AbstractResult(None, tuple(heavy), trace)
+
+
+@st.composite
+def solver_systems(draw):
+    """Systems at orders 2-6 with heavy sets, bounded intersection or not:
+    sets that miss a few ground elements, the complements of windows that
+    cover the ground (often heavy sets with no common element), sets
+    drawn inside them, and arbitrary sets."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(2, 6))
+    sets = [set(range(n))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["any", "inside", "most", "windows"]))
+        pool = sorted(draw(st.sampled_from(sets))) if kind == "inside" else range(n)
+        if kind == "windows":
+            # complements of windows just narrow enough to leave them heavy
+            width = max(1, -(-n // k) - draw(st.integers(0, 1)))
+            sets.extend(set(pool) - set(range(a, a + width)) or set(pool)
+                        for a in range(draw(st.integers(0, width)), n, width))
+        elif kind == "most":
+            missing = st.sets(st.sampled_from(pool), max_size=n // k + 1)
+            sets.append(set(pool) - draw(missing) or set(pool))
+        else:
+            sets.append(draw(st.sets(st.sampled_from(pool), min_size=1)))
+    return SetSystem.from_sets(n, sets[draw(st.integers(0, 1)):], k)
+
+
+@settings(max_examples=400)
+@given(solver_systems())
+@example(SetSystem(6, ((0, 1, 2, 3, 4), (3, 4, 5), (0, 5)), 3))
+@example(THREE_LINES)
+@example(SetSystem(3, ((0, 1), (1, 2), (0, 2)), 6))
+@example(SetSystem(7, ((0, 6), (1, 2, 3, 4, 5, 6), (0, 1)), 5))
+@example(SetSystem(6, ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5)), 3))
+@example(SetSystem(4, ((0, 1, 2, 3), (2, 3)), 3))  # S ∩ C is half of C
+def test_solver_matches_restricting_reference(system):
+    result = strong_centerpoint(system)
+    expected = reference_strong_centerpoint(system)
+    assert (result.element, result.witness, result.trace) == (
+        expected.element, expected.witness, expected.trace
+    )
+    plain = [x for level in result.trace for x in level] + [result.element]
+    assert all(type(x) is int for x in plain if x is not None)
+    oracle = brute_force_strong_centerpoints(system)
+    assert result.element in oracle if result.found else oracle == []
+
+
+@pytest.mark.parametrize("k", [10**18, 2**63, BIG])
+def test_solver_orders_past_int64(k):
+    # k * size overflows int64; the heavy bound is taken in Python ints
+    system = SetSystem(10, (tuple(range(10)), tuple(range(9)), (0, 9)), k)
+    result = strong_centerpoint(system)
+    assert result == reference_strong_centerpoint(system)
+    assert result.element == 0
+    assert result.trace == ((10, 0), (10, None))
+
+
+def test_solver_on_ids_past_int64():
+    system = SetSystem(BIG, ((2**69, 2**69 + 1), (0, 2**69), (BIG - 1,)), 3)
+    assert system.ids.dtype == object
+    result = strong_centerpoint(system)
+    assert result == reference_strong_centerpoint(system)
+    assert result.trace == ((BIG, None),)
+
+
+def test_solver_takes_no_array_of_the_ground_size():
+    # an array of length 10**15 could not be allocated; the solver reads
+    # only the members of the sets
+    system = SetSystem(10**15, ((0, 1), (1, 2)), 2)
+    assert strong_centerpoint(system) == AbstractResult(0, None, ((10**15, None),))
 
 
 def test_solver_prefers_restricted_level_over_smallest_oracle_element():
