@@ -39,6 +39,7 @@ from .geometry import (
     kth_smallest,
     normalize_orientations,
     project,
+    selection_rank,
 )
 from .pointfile import (
     PointFile,
@@ -53,7 +54,6 @@ from .polytope import (
     brute_force_max_avoiding,
     compute_strong_centerpoint,
     max_avoiding_count,
-    selection_rank,
     verify_strong_centerpoint,
 )
 from .setsystem import (

@@ -288,3 +288,21 @@ def heavy_threshold_exceeded(count: int, n: int, k: int) -> bool:
     if not 0 <= count <= n:
         raise ValueError(f"count {count} out of range 0..{n}")
     return k * count > (k - 1) * n
+
+
+def selection_rank(n: int, k: int) -> int:
+    """The smallest count exceeding (1 - 1/k) * n: the projection order
+    statistic defining each constructed halfspace, and the size from which
+    a set is heavy.
+
+    Equals floor((1 - 1/k) * n) + 1, written n - ceil(n/k) + 1 in integers.
+    A halfspace cut at this rank can never lose its claim to more than
+    (1 - 1/k) * n points, and its complement holds at most ceil(n/k) - 1.
+    The fast paths cut at this rank; verifiers and oracles test
+    :func:`heavy_threshold_exceeded` on their own.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive int, got {k!r}")
+    return n - (n + k - 1) // k + 1

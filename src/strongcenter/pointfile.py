@@ -107,19 +107,26 @@ def format_number(value) -> str:
     return int.__repr__(value) if isinstance(value, int) else str(value)
 
 
-def parse_point_file(text: str) -> PointFile:
+def read_header(text: str, kind: str, names: str) -> tuple:
+    """``(lines, a, b)``: the lines of ``text`` up to its last non-blank
+    one, and the two ints ``names`` of its header line. ``kind`` names
+    the file when it holds no such line."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
-        raise ParseError("empty point file")
+        raise ParseError(f"empty {kind}")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError("header must be 'd n'")
+        raise ParseError(f"header must be '{names}'")
     try:
-        dim, n = int(head[0]), int(head[1])
+        return lines, int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("header must hold two integers") from None
+
+
+def parse_point_file(text: str) -> PointFile:
+    lines, dim, n = read_header(text, "point file", "d n")
     if dim < 1:
         raise ParseError("dimension must be positive")
     if n < 1:

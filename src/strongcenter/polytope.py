@@ -26,6 +26,7 @@ from .geometry import (
     heavy_threshold_exceeded,
     kth_smallest,
     project,
+    selection_rank,
 )
 from .pointfile import PointFile, point_columns
 
@@ -36,20 +37,6 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _FLOAT64_EXACT = 2**53
 # inf and nan projections would be compared as if they were numbers
 _OVERFLOW = "a projection along {!r} overflows float64"
-
-
-def selection_rank(n: int, k: int) -> int:
-    """The projection order statistic defining each constructed halfspace.
-
-    Equals floor((1 - 1/k) * n) + 1, written n - ceil(n/k) + 1 in integers.
-    A halfspace cut at this rank can never lose its claim to more than
-    (1 - 1/k) * n points, and its complement holds at most ceil(n/k) - 1.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive int, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive int, got {k!r}")
-    return n - (n + k - 1) // k + 1
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, check_size_guard
-from .geometry import Point, heavy_threshold_exceeded
+from .geometry import Point, heavy_threshold_exceeded, selection_rank
+from .pointfile import read_header
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,8 @@ def strong_centerpoint(system: SetSystem) -> AbstractResult:
     """
     n, ids, indptr = system.n, system.ids, system.indptr
     sizes = np.diff(indptr)
-    # size * k > (k - 1) * n: size > n - ceil(n / k), taken in Python ints
-    # and capped by len(ids), which no size exceeds, to stay in int64
-    heavy = sizes > min(n + (-n // system.k), len(ids))
+    # capped by len(ids) + 1, which no size reaches, to stay in int64
+    heavy = sizes >= min(selection_rank(n, system.k), len(ids) + 1)
     if not heavy.any():
         return AbstractResult(0, None, ((n, None),))
     common, deeper, trace = _shared(ids, sizes, heavy), (), ((n, None),)
@@ -290,10 +290,13 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     without sharing their whole flat. When n <= dim all points lie on one
     common hyperplane, so the system is the single set of all indices.
     Incidence is exact: coordinates are scaled by one common power of two
-    into integers, and one numpy pass keys each d-tuple of distinct locations
+    into integers, and one numpy pass keys each d-tuple of point indices
     by its gcd-reduced normal, first nonzero component positive, and offset,
     in int64 while the coordinate bound keeps them below 2**62, else in
-    Python ints. The C(n, d) spans are size-guarded; memory grows with them.
+    Python ints. A d-tuple through a repeated point has a zero normal and
+    drops; each point of a flat lies in some affinely independent d-tuple
+    of it, so the spans list every member. The C(n, d) spans are
+    size-guarded, repeated points included; memory grows with them.
     """
     if dim not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
@@ -311,14 +314,12 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     check_size_guard(math.comb(n, dim))
     if n <= dim:
         return SetSystem(n, (tuple(range(n)),), dim)
-    at: dict = {}  # distinct location -> the indices of its points
-    for index, location in enumerate(_integer_coords(pts)):
-        at.setdefault(location, []).append(index)
-    bound = max(map(abs, itertools.chain.from_iterable(at)))
+    scaled = _integer_coords(pts)
+    bound = max(map(abs, itertools.chain.from_iterable(scaled)))
     # |normal| <= (dim - 1)! (2 bound)**(dim - 1), |offset| <= dim |normal| bound
     normal_bound = math.factorial(dim - 1) * (2 * bound) ** (dim - 1)
-    coords = np.array(list(at), np.int64 if normal_bound < 2**62 else object)
-    combos = itertools.combinations(range(len(at)), dim)
+    coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object)
+    combos = itertools.combinations(range(n), dim)
     spans = np.fromiter(itertools.chain.from_iterable(combos), np.int64)
     spans = spans.reshape(-1, dim)
     anchor = coords[spans[:, 0]]
@@ -336,15 +337,9 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     # increasing flat numbers that step wherever the sorted key changes
     step = (normal != np.roll(normal, 1, axis=0)).any(axis=1)
     flat = np.cumsum(step | (offset != np.roll(offset, 1)))
-    location = spans[order].ravel()
-    del spans, anchor, u, g, first, normal, offset, step  # lowers the peak
-    # each span location expands to its ids, listed by location in owners
-    size = np.fromiter(map(len, at.values()), np.int64)
-    owners = np.fromiter(itertools.chain.from_iterable(at.values()), np.int64)
-    reps = size[location]
-    picks = np.repeat(np.cumsum(size)[location] - np.cumsum(reps), reps)
-    picks += np.arange(len(picks))
-    members = np.sort(np.repeat(flat, dim).repeat(reps) * n + owners[picks])
+    members = np.repeat(flat, dim) * n + spans[order].ravel()
+    del spans, anchor, u, g, first, normal, offset, step, flat  # lowers the peak
+    members.sort()
     flat, ids = np.divmod(members[np.diff(members, prepend=-1) != 0], n)
     lo = np.flatnonzero(np.diff(flat, prepend=-1))
     hi = np.append(lo[1:], len(ids))
@@ -365,18 +360,7 @@ def format_set_system(system: SetSystem) -> str:
 def parse_set_system(text: str) -> SetSystem:
     """Parse the text form of a set system; inverse of
     :func:`format_set_system` on canonical input."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ParseError("empty set-system file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError("header must be 'n k'")
-    try:
-        n, k = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("header must hold two integers") from None
+    lines, n, k = read_header(text, "set-system file", "n k")
     sets = []
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split()

@@ -919,6 +919,39 @@ def test_hyperplane_system_exact_on_degenerate_grids():
     assert sum(len(s) > 3 for s in system.sets) > 100
 
 
+
+def _repeated(locations, n, seed):
+    """n points drawn from ``locations``, each location at least once."""
+    rng = random.Random(seed)
+    picks = list(locations) + [rng.choice(locations) for _ in range(n - len(locations))]
+    rng.shuffle(picks)
+    return picks
+
+
+@pytest.mark.parametrize(
+    "dim, coords",
+    [
+        # three of the six locations are collinear, so a line holds the
+        # copies of three locations
+        (2, _repeated([(0, 0), (1, 1), (2, 2), (0, 3), (4, -1), (-2, 5)], 60, 1)),
+        # four of the six locations are coplanar
+        (3, _repeated(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, -1, 3)],
+            30, 2,
+        )),
+        (2, [(3, -1)] * 5),
+        (3, [(1, 2, 3)] * 7),
+        (3, _repeated([(t, 2 * t, -t) for t in range(-2, 3)], 9, 3)),
+    ],
+    ids=["lines-60-on-6", "planes-30-on-6", "lines-coincide", "planes-coincide",
+         "planes-collinear"],
+)
+def test_hyperplane_system_exact_with_many_repeats(dim, coords):
+    system = hyperplane_system([Point(c) for c in coords], dim)
+    assert (system.n, system.k) == (len(coords), dim)
+    assert system.sets == exact_hyperplane_sets(coords, dim)
+
+
 def test_restriction_keeps_property_on_line_systems():
     rng = random.Random(13)
     checked = 0
