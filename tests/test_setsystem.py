@@ -919,7 +919,6 @@ def test_hyperplane_system_exact_on_degenerate_grids():
     assert sum(len(s) > 3 for s in system.sets) > 100
 
 
-
 def _repeated(locations, n, seed):
     """n points drawn from ``locations``, each location at least once."""
     rng = random.Random(seed)
