@@ -33,9 +33,11 @@ def check_size_guard(estimated_cost: int, budget: int | None = None) -> None:
         try:
             budget = int(raw)
         except ValueError:
+            budget = 0  # refused below, as a non-positive value is
+        if budget < 1:
             raise ValueError(
-                f"{SIZE_GUARD_ENV} must be an integer, got {raw!r}"
-            ) from None
+                f"{SIZE_GUARD_ENV} must be a positive integer, got {raw!r}"
+            )
     elif budget is None:
         budget = DEFAULT_BUDGET
     if estimated_cost > budget:

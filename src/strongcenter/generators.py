@@ -8,9 +8,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError
 from .families import axis_box_family
 from .geometry import Orientation, OrientationFamily, Point
+from .pointfile import point_columns
 
 COORD_RANGE = 1000
 _DIRECTION_RANGE = 9
@@ -30,16 +30,7 @@ class Instance:
     def __post_init__(self):
         points = tuple(self.points)
         object.__setattr__(self, "points", points)
-        if not points:
-            raise ValueError("instance needs at least one point")
-        for p in points:
-            if not isinstance(p, Point):
-                raise TypeError(f"not a Point: {p!r}")
-            if p.dim != self.family.dim:
-                raise DimensionMismatchError(
-                    f"point of dimension {p.dim} under a family of "
-                    f"dimension {self.family.dim}"
-                )
+        point_columns(points, self.family.dim)  # raises on a bad point set
 
 
 def _unit_anchor(orientation: Orientation):

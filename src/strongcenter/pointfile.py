@@ -25,42 +25,41 @@ _PLAIN_INT_BYTES = (
 ).encode("ascii")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointFile:
-    """Parsed point file: dimension, per-axis coordinate columns, and the
-    original row text.
+    """Point set as per-axis coordinate columns, the only stored copy of
+    the coordinates, with the row text as typed, or None for a PointFile
+    built from Points. PointFiles compare by identity.
 
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
     floats; :meth:`from_points` builds tuple columns of the points' own
     values. The polytope functions and ``render_plot`` read these, and
-    ``point(i)`` parses one row into a Point. ``projectors`` maps each
-    family to the projection arrays the polytope functions built for it;
-    they stay in memory for as long as the PointFile does.
+    ``point(i)`` reads point i from them. ``projectors`` maps each family
+    to the projection arrays the polytope functions built for it; they
+    stay in memory for as long as the PointFile does.
     """
 
     dim: int
-    columns: tuple = field(repr=False, compare=False)
-    rows: tuple
-    projectors: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    columns: tuple = field(repr=False)
+    rows: tuple | None
+    projectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_points(cls, points) -> "PointFile":
         """A PointFile of a non-empty sequence of Points of one dimension,
-        with rows as :func:`format_points` writes them. A caller verifying
-        many candidates converts the points once this way, and the
-        projections are kept as for a parsed file."""
+        with no rows. A caller verifying many candidates converts the
+        points once this way, and the projections are kept as for a parsed
+        file."""
         first = points[0] if len(points) else None
         dim = first.dim if isinstance(first, Point) else 0
-        columns = point_columns(points, dim)
-        rows = tuple(map(_format_row, points))
-        return cls(dim, tuple(map(tuple, columns)), rows)
+        return cls(dim, tuple(map(tuple, point_columns(points, dim))), None)
 
     def point(self, index: int) -> Point:
-        """The point on row ``index``, parsed token by token."""
-        return Point(tuple(map(parse_number, self.rows[index].split())))
+        """Point ``index``: Python ints from int64 columns, else the
+        stored values themselves."""
+        return Point(tuple(c[index].item() if isinstance(c, np.ndarray)
+                           else c[index] for c in self.columns))
 
 
 def point_columns(points, dim: int) -> list:

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError, check_size_guard
+from .errors import ParseError, check_size_guard
 from .geometry import Point, heavy_threshold_exceeded, selection_rank
-from .pointfile import read_header
+from .pointfile import point_columns, read_header
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,12 @@ def check_bounded_intersection(
     return min(filter(None, firsts), default=None)
 
 
-def _integer_coords(points) -> list:
-    """Coordinates scaled by one common power of two into exact ints:
-    every finite float is an integer over a power of two."""
-    ratios = [[x.as_integer_ratio() for x in p.coords] for p in points]
+def _integer_coords(columns) -> list:
+    """Coordinate columns scaled by one common power of two into exact
+    ints: every finite float is an integer over a power of two."""
+    ratios = [[x.as_integer_ratio() for x in col] for col in columns]
     scale = max(d for r in ratios for _, d in r)
-    return [tuple(num * (scale // d) for num, d in r) for r in ratios]
+    return [[num * (scale // d) for num, d in r] for r in ratios]
 
 
 def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
@@ -287,8 +287,10 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     Each hyperplane through ``dim`` affinely independent points contributes
     the set of all point indices incident to it; the system's order is
     ``dim``, matching how many such sets can share more than one point
-    without sharing their whole flat. When n <= dim all points lie on one
-    common hyperplane, so the system is the single set of all indices.
+    without sharing their whole flat. When no ``dim`` points span a
+    hyperplane (n <= dim, or every point on one lower-dimensional flat),
+    all points lie on one common hyperplane, so the system is the single
+    set of all indices. The points go through :func:`point_columns`.
     Incidence is exact: coordinates are scaled by one common power of two
     into integers, and one numpy pass keys each d-tuple of point indices
     by its gcd-reduced normal, first nonzero component positive, and offset,
@@ -300,25 +302,14 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     """
     if dim not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("empty point set")
-    for index, p in enumerate(pts):
-        if not isinstance(p, Point):
-            raise TypeError(f"points[{index}] is not a Point")
-        if p.dim != dim:
-            raise DimensionMismatchError(
-                f"points[{index}] has dimension {p.dim}, expected {dim}"
-            )
+    columns = point_columns(list(points), dim)
+    n = len(columns[0])
     check_size_guard(math.comb(n, dim))
-    if n <= dim:
-        return SetSystem(n, (tuple(range(n)),), dim)
-    scaled = _integer_coords(pts)
+    scaled = _integer_coords(columns)
     bound = max(map(abs, itertools.chain.from_iterable(scaled)))
     # |normal| <= (dim - 1)! (2 bound)**(dim - 1), |offset| <= dim |normal| bound
     normal_bound = math.factorial(dim - 1) * (2 * bound) ** (dim - 1)
-    coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object)
+    coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object).T
     combos = itertools.combinations(range(n), dim)
     spans = np.fromiter(itertools.chain.from_iterable(combos), np.int64)
     spans = spans.reshape(-1, dim)
@@ -328,6 +319,8 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
               else u[:, ::-1] * [1, -1])
     g = np.gcd.reduce(normal, axis=1)
     spans, anchor, normal, g = (a[g != 0] for a in (spans, anchor, normal, g))
+    if not len(g):  # no d points span: all lie on one common hyperplane
+        return SetSystem(n, (tuple(range(n)),), dim)
     first = normal[np.arange(len(g)), (normal != 0).argmax(axis=1)]
     normal = normal // np.where(first < 0, -g, g)[:, None]
     wide = dim * normal_bound * bound >= 2**62

@@ -17,6 +17,7 @@ from strongcenter import (
 )
 from strongcenter import cli, polytope, svgplot
 from strongcenter.cli import main
+from strongcenter.errors import check_size_guard
 from strongcenter.families import named_family
 from strongcenter.pointfile import (
     format_number,
@@ -750,6 +751,19 @@ def test_cli_size_guard_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "abstract", path, "--oracle")
     assert code == 0
     assert "oracle: agree" in out
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+def test_cli_size_guard_env_must_be_positive(tmp_path, capsys, monkeypatch, raw):
+    path = write(tmp_path, "s.txt", "5 2\n0 1 2\n2 3 4\n")
+    monkeypatch.setenv("SC_SIZE_GUARD", raw)
+    message = f"SC_SIZE_GUARD must be a positive integer, got {raw!r}"
+    with pytest.raises(ValueError) as info:
+        check_size_guard(2)
+    assert str(info.value) == message
+    code, out, err = run(capsys, "abstract", path, "--check")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 CONTAINS_FIXTURES = [

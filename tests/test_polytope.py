@@ -1,4 +1,5 @@
 import enum
+import operator
 import random
 import re
 
@@ -7,6 +8,7 @@ import pytest
 
 from strongcenter import (
     DimensionMismatchError,
+    Instance,
     Orientation,
     OrientationFamily,
     Point,
@@ -18,6 +20,7 @@ from strongcenter import (
     downward_triangle_family,
     format_points,
     heavy_threshold_exceeded,
+    hyperplane_system,
     max_avoiding_count,
     normalize_orientations,
     parse_point_file,
@@ -384,7 +387,9 @@ def _seeded_points(kind, seed, n=40):
 def test_point_file_from_points_answers_as_the_list(kind, seed):
     points = _seeded_points(kind, seed)
     point_file = PointFile.from_points(points)
-    assert point_file.dim == 2 and len(point_file.rows) == len(points)
+    assert point_file.dim == 2 and point_file.rows is None
+    for i, p in enumerate(points):
+        assert all(map(operator.is_, point_file.point(i).coords, p.coords))
     assert [point_file.point(i) for i in range(len(points))] == points
     assert point_file.columns == tuple(zip(*(p.coords for p in points)))
     for family in (axis_box_family(2), downward_triangle_family()):
@@ -396,19 +401,29 @@ def test_point_file_from_points_answers_as_the_list(kind, seed):
     assert len(point_file.projectors) == 2
 
 
-def test_point_file_from_points_rows_are_format_points_rows():
-    points = _seeded_points("mixed", 7, n=5)
-    text = format_points(points)
-    assert PointFile.from_points(points) == parse_point_file(text)
+@pytest.mark.parametrize("kind", ["int", "float", "mixed", "beyond-int64"])
+def test_point_file_from_points_matches_its_formatted_file(kind):
+    points = _seeded_points(kind, 7, n=5)
+    built = PointFile.from_points(points)
+    parsed = parse_point_file(format_points(points))
+    assert built != parsed  # PointFiles compare by identity
+    for i in range(len(points)):
+        assert repr(built.point(i)) == repr(parsed.point(i))
+    for family in (axis_box_family(2), downward_triangle_family()):
+        for candidate in (*points, Point(0, 0), Point(0.5, -1)):
+            assert verify_strong_centerpoint(built, family, candidate) \
+                == verify_strong_centerpoint(parsed, family, candidate)
 
 
-def test_point_file_from_points_writes_subclass_values_plainly():
+def test_point_file_from_points_keeps_subclass_values():
     class Level(enum.IntEnum):
         HIGH = 7
 
     points = [Point(np.float64(2.5), Level.HIGH), Point(-0.0, 2**70)]
     point_file = PointFile.from_points(points)
-    assert point_file.rows == ("2.5 7", "-0.0 1180591620717411303424")
+    assert point_file.rows is None
+    assert point_file.point(0).coords[1] is Level.HIGH
+    assert type(point_file.point(0).coords[0]) is np.float64
     assert [point_file.point(i) for i in range(2)] == points
 
 
@@ -428,6 +443,37 @@ def test_point_file_from_points_writes_subclass_values_plainly():
 def test_point_file_from_points_errors(points, error, message):
     with pytest.raises(error, match=message):
         PointFile.from_points(points)
+
+
+POINT_INTAKES = {
+    "compute": lambda pts: compute_strong_centerpoint(pts, axis_box_family(2)),
+    "verify": lambda pts: verify_strong_centerpoint(
+        pts, axis_box_family(2), Point(0, 0)
+    ),
+    "from_points": PointFile.from_points,
+    "hyperplane_system": lambda pts: hyperplane_system(pts, 2),
+    "Instance": lambda pts: Instance(pts, axis_box_family(2), 0, "intake"),
+}
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([], ValueError, "empty point set"),
+        ([Point(1, 2), None], TypeError, "points[1] is not a Point"),
+        (
+            [Point(1, 2), Point(1, 2, 3)],
+            DimensionMismatchError,
+            "points[1] has dimension 3, expected 2",
+        ),
+    ],
+    ids=["empty", "not-a-point", "wrong-dimension"],
+)
+@pytest.mark.parametrize("intake", sorted(POINT_INTAKES))
+def test_every_point_intake_raises_the_same_errors(intake, points, error, message):
+    with pytest.raises(error) as info:
+        POINT_INTAKES[intake](points)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_point_file_projector_follows_direction_types():

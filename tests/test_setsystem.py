@@ -697,6 +697,14 @@ def test_hyperplane_tiny_inputs_use_maximal_flats():
         [Point(0, 0, 0), Point(1, 0, 0), Point(0, 1, 0)], 3
     )
     assert three.sets == ((0, 1, 2),)
+    # so do n > d points when no d of them span a hyperplane
+    for dim, n in ((2, 2), (2, 3), (2, 6), (3, 3), (3, 4), (3, 7)):
+        coincident = hyperplane_system([Point((4,) * dim)] * n, dim)
+        assert (coincident.n, coincident.sets) == (n, (tuple(range(n)),))
+    collinear = [Point(t, 2 * t, -t) for t in (0, 1, 1, 3, -2)]
+    assert hyperplane_system(collinear, 3).sets == ((0, 1, 2, 3, 4),)
+    floats = [Point(0.5 * t, 0.25, 1.0 - t) for t in range(4)]
+    assert hyperplane_system(floats, 3).sets == ((0, 1, 2, 3),)
 
 
 def test_hyperplane_duplicate_points_kept_distinct_ids():
@@ -746,8 +754,6 @@ def test_hyperplane_systems_pass_checker_and_match_oracle():
 def exact_hyperplane_sets(coords, dim):
     """The incidence sets by definition, in exact integer arithmetic."""
     n = len(coords)
-    if n <= dim:
-        return (tuple(range(n)),)
     found = set()
     for span in itertools.combinations(coords, dim):
         anchor = span[0]
@@ -770,7 +776,8 @@ def exact_hyperplane_sets(coords, dim):
                 if sum(c * (x - y) for c, x, y in zip(normal, p, anchor)) == 0
             )
         )
-    return tuple(sorted(found))
+    # no d points span: all lie on one common hyperplane
+    return tuple(sorted(found)) or (tuple(range(n)),)
 
 
 @st.composite
