@@ -42,7 +42,7 @@ class PointFile:
 
     dim: int
     columns: tuple = field(repr=False)
-    rows: tuple | None
+    rows: tuple | None = field(repr=False)
     projectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod

@@ -188,12 +188,14 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     """All elements contained in every heavy set, ascending; [] means none.
 
     With no heavy set every element qualifies. Independent of the solver
-    by construction: one pass over set sizes, one intersection, no
-    restriction.
+    by construction: heaviness depends only on |S|, so it is tested once
+    per distinct set size, then the heavy sets' tuples are intersected as
+    frozensets, with no restriction.
     """
     check_size_guard(system.n * max(1, len(system.sets)))
-    heavy = [frozenset(s) for s in system.sets
-             if heavy_threshold_exceeded(len(s), system.n, system.k)]
+    heavy_sizes = {size for size in set(map(len, system.sets))
+                   if heavy_threshold_exceeded(size, system.n, system.k)}
+    heavy = [frozenset(s) for s in system.sets if len(s) in heavy_sizes]
     return sorted(frozenset.intersection(*heavy)) if heavy else list(range(system.n))
 
 
@@ -234,42 +236,62 @@ def check_bounded_intersection(
     its sets; a single set is not an escape, so at order 2 any pair
     sharing two elements violates, nested or not. Only sets that share an
     element pair can violate, so the sets are indexed by the element pairs
-    they hold, Σ C(|S|, 2) insertions. At order 2 the answer is the
+    they hold: the Σ C(|S|, 2) pairs, each tagged with its set index, are
+    formed per set size from the ``ids`` column and sorted once, and each
+    run of equal pairs is a pair group. At order 2 the answer is the
     smallest first two sets of a pair group. At order k >= 3 a pair group
     L of at least k sets passes when its sets all meet pairwise in one
     core, as every k-tuple then meets in a pair's intersection; that test
-    costs Σ_{S in L} |S|. The k-tuples inside every other group are
-    tested, Σ C(|L|, k) * k * n more. All three costs are guarded. The
-    lexicographically first violating tuple is returned; fewer than k
-    sets pass vacuously.
+    runs on frozensets of the sets of such groups and costs Σ_{S in L} |S|.
+    The k-tuples inside every other group are tested, Σ C(|L|, k) * k * n
+    more. All three costs are guarded. The lexicographically first
+    violating tuple is returned; fewer than k sets pass vacuously.
     """
-    k = system.k
+    k, ids, indptr = system.k, system.ids, system.indptr
     if len(system.sets) < k:
         return None
-    insertions = sum(math.comb(len(s), 2) for s in system.sets)
+    sizes = np.diff(indptr)
+    counts = np.bincount(sizes)
+    widths = np.flatnonzero(counts)
+    insertions = sum(math.comb(s, 2) * int(counts[s]) for s in widths.tolist())
     check_size_guard(insertions, budget)
-    groups: dict = {}
-    for index, s in enumerate(system.sets):
-        for pair in itertools.combinations(s, 2):
-            groups.setdefault(pair, []).append(index)
+    if not insertions:
+        return None
+    parts = []
+    for width in widths[widths > 1].tolist():
+        owners = np.flatnonzero(sizes == width)
+        block = ids[indptr[owners, None] + np.arange(width)]
+        left, right = np.triu_indices(width, 1)
+        parts.append((block[:, left].ravel(), block[:, right].ravel(),
+                      np.repeat(owners, len(left))))
+    # no a * n + b key: it overflows int64 past n = 2**31.5, and ids may
+    # be objects
+    a, b, owner = map(np.concatenate, zip(*parts))
+    order = np.lexsort((owner, b, a))
+    a, b, owner = a[order], b[order], owner[order]
+    step = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], step)))
+    lengths = np.diff(starts, append=len(owner))
     if k == 2:
-        return min(
-            ((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None
-        )
-    crowded = [g for g in groups.values() if len(g) >= k]
-    cost = insertions + sum(len(system.sets[i]) for g in crowded for i in g)
+        shared = starts[lengths > 1]
+        return min(zip(owner[shared].tolist(), owner[shared + 1].tolist()),
+                   default=None)
+    crowded = lengths >= k
+    listed = owner[np.repeat(crowded, lengths)]
+    cost = insertions + int(sizes[listed].sum())
     check_size_guard(cost, budget)
-    members = [frozenset(s) for s in system.sets]
-    crowded = [g for g in crowded if not _one_core(members, g)]
-    tuples = sum(math.comb(len(g), k) for g in crowded)
+    used = np.zeros(len(system.sets), bool)
+    used[listed] = True
+    members = [frozenset(s) if u else None
+               for s, u in zip(system.sets, used.tolist())]
+    cuts = np.cumsum(lengths[crowded]).tolist()
+    listed = listed.tolist()
+    groups = [listed[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
+    groups = [g for g in groups if not _one_core(members, g)]
+    tuples = sum(math.comb(len(g), k) for g in groups)
     check_size_guard(cost + tuples * k * system.n, budget)
-    firsts = (
-        next(
-            (c for c in itertools.combinations(g, k) if _violates(members, c)),
-            None,
-        )
-        for g in crowded
-    )
+    firsts = (next((c for c in itertools.combinations(g, k)
+                    if _violates(members, c)), None) for g in groups)
     return min(filter(None, firsts), default=None)
 
 

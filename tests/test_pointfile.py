@@ -155,6 +155,13 @@ def test_token_grammar():
     assert typed(parsed.columns[1]) == typed([7, 3, 0])
 
 
+def test_repr_of_a_parsed_file_leaves_out_its_rows():
+    rows = [f"{i * 0.5!r} {-i * 1.25!r}" for i in range(10_000)]
+    parsed = parse_point_file(f"2 {len(rows)}\n" + "\n".join(rows) + "\n")
+    assert len(parsed.rows) == 10_000
+    assert len(repr(parsed)) < 200
+
+
 def test_overlong_integer_token_is_a_parse_error():
     token = "9" * 5000
     with pytest.raises(ParseError, match="bad coordinate"):

@@ -117,11 +117,12 @@ def test_columns_hold_the_sets():
     assert hash(system) == hash(SetSystem(6, system.sets, 3))
 
 
-def test_int_subclass_members_are_accepted():
-    class Id(enum.IntEnum):
-        A = 1
-        B = 2
+class Id(enum.IntEnum):
+    A = 1
+    B = 2
 
+
+def test_int_subclass_members_are_accepted():
     system = SetSystem(3, ((0, Id.A), (Id.A, Id.B)), 2)
     assert system.ids.tolist() == [0, 1, 1, 2]
     assert strong_centerpoint(system).element == 1
@@ -494,9 +495,34 @@ def small_set_systems(draw):
         3,
     )
 )
+# object ids: past int64, where the order-3 tuple estimate k * n exceeds
+# the default budget, and an int subclass
+@example(SetSystem(BIG, ((2**64, 2**65, 2**66), (5, 2**65), (2**64, 2**66)), 2))
+@example(
+    SetSystem(
+        BIG,
+        ((2**64, 2**64 + 1, 2**65, 2**65 + 1), (2**64, 2**64 + 1, 2**65, 2**66),
+         (2**64, 2**64 + 1, 2**65 + 1, 2**66), (7, 2**64 + 1)),
+        3,
+    )
+)
+@example(SetSystem(4, ((0, Id.A, Id.B), (Id.A, 3), (Id.A, Id.B, 3)), 2))
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
-    assert check_bounded_intersection(system) == expected
+    budget = 2**80 if system.n > 2**62 else None
+    assert check_bounded_intersection(system, budget) == expected
+
+
+@given(small_set_systems())
+@example(SetSystem(4, ((0, 1), (2, 3)), 2))  # no heavy set
+@example(SetSystem(5, ((0, 1, 2), (1, 2, 3, 4), (0, 4)), 2))  # 2 does not divide 5
+@example(SetSystem(7, ((0, 1, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 4, 5)), 3))
+@example(SetSystem(6, ((0, 1, 2, 3), (1, 2, 3, 4, 5)), 3))  # 4 sits on the bound
+def test_oracle_matches_heavy_set_definition(system):
+    n, k = system.n, system.k
+    heavy = [set(s) for s in system.sets if k * len(s) > (k - 1) * n]
+    expected = sorted(e for e in range(n) if all(e in s for s in heavy))
+    assert brute_force_strong_centerpoints(system) == expected
 
 
 @settings(max_examples=300)
