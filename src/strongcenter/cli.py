@@ -62,7 +62,7 @@ def _load_family(spec: str, dim: int):
                 f"normals of dimension {normals.dim} for points of "
                 f"dimension {dim}"
             )
-        indices = range(len(normals.rows))
+        indices = range(len(normals.columns[0]))
         return normalize_orientations(normals.point(i).coords for i in indices)
     return named_family(spec, dim)
 
@@ -85,7 +85,7 @@ def _read_points(args):
     report = Report(args.command, input_digest(data))
     report.add("family", args.family)
     report.add("d", point_file.dim)
-    report.add("n", len(point_file.rows))
+    report.add("n", len(point_file.columns[0]))
     report.add("k", family.k)
     return start, point_file, family, report
 

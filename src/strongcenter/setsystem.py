@@ -10,8 +10,10 @@ independent route for tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,27 +41,35 @@ class SetSystem:
     ids: np.ndarray = field(init=False, repr=False, compare=False)
     indptr: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, columns=None):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"ground size must be a positive int, got {self.n!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"order k must be an int >= 2, got {self.k!r}")
-        sets = tuple(map(tuple, self.sets))
-        flat = list(itertools.chain.from_iterable(sets))
-        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
-        indptr = np.concatenate(([0], np.cumsum(sizes)))
-        valid = sizes.all() and set(map(type, flat)) <= {int}
-        if valid:
-            try:
-                ids = np.fromiter(flat, np.int64, len(flat))
-            except OverflowError:
-                ids = np.array(flat, object)
+        if columns is None:
+            sets = tuple(map(tuple, self.sets))
+            flat = list(itertools.chain.from_iterable(sets))
+            ids, indptr = None, np.cumsum([0, *map(len, sets)], dtype=np.int64)
+            if set(map(type, flat)) <= {int}:
+                try:
+                    ids = np.fromiter(flat, np.int64, len(flat))
+                except OverflowError:
+                    ids = np.array(flat, object)
             del flat  # lowers the peak
+        else:  # the private column intake: the sets are cut from them below
+            sets, (ids, indptr) = None, columns
+        valid = ids is not None and np.diff(indptr).all()
+        if valid:
             rises = ids[1:] > ids[:-1]  # unlike np.diff, cannot wrap in int64
             rises[indptr[1:-1] - 1] = True  # pairs across two sets; starts: >= 0
             valid = (rises.all() and (ids[indptr[:-1]] >= 0).all()
-                     and int(ids.max(initial=-1)) < self.n
-                     and len(set(sets)) == len(sets))
+                     and int(ids.max(initial=-1)) < self.n)
+        if sets is None:  # valid ids share one int object per id
+            listed = (np.arange(self.n).astype(object)[ids] if valid else ids).tolist()
+            sets = tuple([tuple(listed[a:b])
+                          for a, b in itertools.pairwise(indptr.tolist())])
+            del listed  # lowers the peak
+        valid = valid and len(set(sets)) == len(sets)
         if not valid:  # the first faulty set names the error
             seen = set()
             for index, s in enumerate(sets):
@@ -94,6 +104,14 @@ class SetSystem:
                 seen.add(t)
                 canonical.append(t)
         return cls(n, tuple(canonical), k)
+
+    @classmethod
+    def _from_columns(cls, n: int, ids, indptr, k: int) -> "SetSystem":
+        """The system of checked CSR columns, with its sets cut from them."""
+        system = object.__new__(cls)
+        system.__dict__.update(n=n, k=k)  # the fields __init__ would set
+        system.__post_init__((ids, indptr))
+        return system
 
 
 @dataclass(frozen=True)
@@ -295,14 +313,6 @@ def check_bounded_intersection(
     return min(filter(None, firsts), default=None)
 
 
-def _integer_coords(columns) -> list:
-    """Coordinate columns scaled by one common power of two into exact
-    ints: every finite float is an integer over a power of two."""
-    ratios = [[x.as_integer_ratio() for x in col] for col in columns]
-    scale = max(d for r in ratios for _, d in r)
-    return [[num * (scale // d) for num, d in r] for r in ratios]
-
-
 def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     """Incidence system of the hyperplanes spanned by a point set.
 
@@ -312,57 +322,72 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     without sharing their whole flat. When no ``dim`` points span a
     hyperplane (n <= dim, or every point on one lower-dimensional flat),
     all points lie on one common hyperplane, so the system is the single
-    set of all indices. The points go through :func:`point_columns`.
-    Incidence is exact: coordinates are scaled by one common power of two
-    into integers, and one numpy pass keys each d-tuple of point indices
-    by its gcd-reduced normal, first nonzero component positive, and offset,
-    in int64 while the coordinate bound keeps them below 2**62, else in
-    Python ints. A d-tuple through a repeated point has a zero normal and
-    drops; each point of a flat lies in some affinely independent d-tuple
-    of it, so the spans list every member. The C(n, d) spans are
-    size-guarded, repeated points included; memory grows with them.
+    set of all indices. Incidence is exact: coordinates are scaled by one
+    common power of two into integers, and one numpy pass keys each d-tuple
+    of point indices by its normal (gcd-reduced, first nonzero component
+    positive) and offset, in int64 while the coordinate bound keeps them
+    below 2**62, else in Python ints. A d-tuple through a repeated point
+    has a zero normal and drops; each point of a flat lies in some
+    affinely independent d-tuple of it, so the spans list every member.
+    The sets are ordered on their first d ids, ties in Python, and handed
+    over as CSR columns. The C(n, d) spans are size-guarded, repeated
+    points included; memory grows with them.
     """
-    if dim not in (2, 3):
+    k = operator.index(dim) if hasattr(type(dim), "__index__") else None
+    if isinstance(dim, bool) or k not in (2, 3):
         raise ValueError(f"supported dimensions are 2 and 3, got {dim!r}")
-    columns = point_columns(list(points), dim)
+    columns = point_columns(list(points), k)
     n = len(columns[0])
-    check_size_guard(math.comb(n, dim))
-    scaled = _integer_coords(columns)
+    check_size_guard(math.comb(n, k))
+    ratios = [[x.as_integer_ratio() for x in col] for col in columns]
+    scale = max(d for r in ratios for _, d in r)  # a finite float is num / 2**e
+    scaled = [[num * (scale // d) for num, d in r] for r in ratios]
     bound = max(map(abs, itertools.chain.from_iterable(scaled)))
-    # |normal| <= (dim - 1)! (2 bound)**(dim - 1), |offset| <= dim |normal| bound
-    normal_bound = math.factorial(dim - 1) * (2 * bound) ** (dim - 1)
-    coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object).T
-    combos = itertools.combinations(range(n), dim)
-    spans = np.fromiter(itertools.chain.from_iterable(combos), np.int64)
-    spans = spans.reshape(-1, dim)
-    anchor = coords[spans[:, 0]]
-    u = coords[spans[:, 1]] - anchor
-    normal = (np.cross(u, coords[spans[:, 2]] - anchor) if dim == 3
-              else u[:, ::-1] * [1, -1])
-    g = np.gcd.reduce(normal, axis=1)
-    spans, anchor, normal, g = (a[g != 0] for a in (spans, anchor, normal, g))
-    if not len(g):  # no d points span: all lie on one common hyperplane
-        return SetSystem(n, (tuple(range(n)),), dim)
-    first = normal[np.arange(len(g)), (normal != 0).argmax(axis=1)]
-    normal = normal // np.where(first < 0, -g, g)[:, None]
-    wide = dim * normal_bound * bound >= 2**62
-    offset = (normal.astype(object if wide else normal.dtype) * anchor).sum(axis=1)
-    order = np.lexsort((offset, *normal.T))
-    offset, normal = offset[order], normal[order]
-    # increasing flat numbers that step wherever the sorted key changes
-    step = (normal != np.roll(normal, 1, axis=0)).any(axis=1)
-    flat = np.cumsum(step | (offset != np.roll(offset, 1)))
-    members = np.repeat(flat, dim) * n + spans[order].ravel()
-    del spans, anchor, u, g, first, normal, offset, step, flat  # lowers the peak
+    # |normal| <= (k - 1)! (2 bound)**(k - 1), |offset| <= k |normal| bound
+    normal_bound = math.factorial(k - 1) * (2 * bound) ** (k - 1)
+    coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object)
+    spans = np.array(np.triu_indices(n, 1))  # index tuples, lexicographic
+    if k == 3:  # each pair (i, j), then every third index past j
+        past = n - 1 - spans[1]
+        back = np.repeat(np.cumsum(past) - past - spans[1] - 1, past)
+        spans = np.vstack((np.repeat(spans, past, axis=1), np.arange(len(back)) - back))
+    anchor = coords[:, spans[0]]
+    u = coords[:, spans[1]] - anchor
+    v = coords[:, spans[2]] - anchor if k == 3 else None
+    normal = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                       u[0] * v[1] - u[1] * v[0]] if k == 3 else [u[1], -u[0]])
+    g = functools.reduce(np.gcd, normal)
+    keep = g != 0
+    if not keep.any():  # no d points span: all lie on one common hyperplane
+        return SetSystem(n, (tuple(range(n)),), k)
+    spans, anchor, normal, g = (a.compress(keep, -1)
+                                for a in (spans, anchor, normal, g))
+    lead = functools.reduce(lambda a, b: np.where(a, a, b), normal)  # first nonzero
+    normal //= np.where(lead < 0, -g, g)
+    wide = k * normal_bound * bound >= 2**62
+    keys = [*normal, sum((c.astype(object) if wide else c) * x
+                         for c, x in zip(normal, anchor))]
+    dims = [] if wide else [int(c.max() - c.min()) + 1 for c in keys]
+    if dims and math.prod(dims) < 2**63:  # one packed key; flats in any order
+        keys = [np.ravel_multi_index([c - c.min() for c in keys], dims)]
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+    step = np.logical_or.reduce([c[order][1:] != c[order][:-1] for c in keys])
+    members = (spans[:, order] + np.cumsum(np.append(0, step)) * n).ravel()
+    del spans, anchor, u, v, g, lead, normal, keys, order, step  # lowers the peak
     members.sort()
     flat, ids = np.divmod(members[np.diff(members, prepend=-1) != 0], n)
-    lo = np.flatnonzero(np.diff(flat, prepend=-1))
-    hi = np.append(lo[1:], len(ids))
-    # flats in order of their first two ids leave the final sort little to do
-    rank = np.argsort(ids[lo] * n + ids[lo + 1])
-    listed = np.arange(n).astype(object)[ids].tolist()  # one int per id
-    cuts = zip(lo[rank].tolist(), hi[rank].tolist())
-    return SetSystem(n, tuple(sorted(tuple(listed[a:b]) for a, b in cuts)), dim)
+    cuts = np.append(np.flatnonzero(np.diff(flat, prepend=-1)), len(ids))
+    # sets hold >= k ids; only those whose first k span a lower flat can tie
+    head = np.ravel_multi_index([ids[cuts[:-1] + p] for p in range(k)], (n,) * k)
+    rank = np.argsort(head)
+    head = head[rank]
+    tied = (np.diff(head, prepend=-1) == 0) | (np.diff(head, append=-1) == 0)
+    rank[tied] = sorted(rank[tied].tolist(),
+                        key=lambda s: ids[cuts[s]:cuts[s + 1]].tolist())
+    sizes = np.diff(cuts)[rank]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    ids = ids[np.arange(len(ids)) + np.repeat(cuts[rank] - indptr[:-1], sizes)]
+    return SetSystem._from_columns(n, ids, indptr, k)
 
 
 def format_set_system(system: SetSystem) -> str:

@@ -63,43 +63,72 @@ def test_system_validation():
 BIG = 2**70
 
 
-@pytest.mark.parametrize(
-    "n, sets, error, message",
-    [
-        (4, ((0, 1), ()), ValueError, "set 1 is empty"),
-        (4, ((0, True),), TypeError, "set 0 holds non-int element True"),
-        (4, ((0, 1), (0, 1.0)), TypeError, "set 1 holds non-int element 1.0"),
-        (4, ((np.int64(1),),), TypeError,
-         f"set 0 holds non-int element {np.int64(1)!r}"),
-        (4, ((0, 1), (2, 1)), ValueError, "set 1 is not strictly ascending"),
-        (4, ((0, 0),), ValueError, "set 0 is not strictly ascending"),
-        (4, ((-1, 0),), ValueError, "set 0 is not strictly ascending"),
-        # descending across the int64 range: a wrapped np.diff reads it as
-        # ascending
-        (BIG, ((2**62, -(2**62) - 2**61),), ValueError,
-         "set 0 is not strictly ascending"),
-        (4, ((0, 4),), ValueError, "set 0 references element 4 outside 0..3"),
-        (4, ((0, 1), (2,), (0, 1)), ValueError,
-         "set 2 duplicates an earlier set"),
-        # the first faulty set names the error, whatever the later ones hold
-        (4, ((0, 1), (0, 1), ()), ValueError, "set 1 duplicates an earlier set"),
-        (4, ((0, 2.0, 1),), TypeError, "set 0 holds non-int element 2.0"),
-        (4, ((2, 1, 1.5),), ValueError, "set 0 is not strictly ascending"),
-        (4, ((0, 5), (1, 0)), ValueError,
-         "set 0 references element 5 outside 0..3"),
-        (BIG, ((BIG - 1, BIG - 2),), ValueError,
-         "set 0 is not strictly ascending"),
-        (BIG, ((0,), (1, BIG)), ValueError,
-         f"set 1 references element {BIG} outside 0..{BIG - 1}"),
-        (BIG, ((-BIG, 0),), ValueError, "set 0 is not strictly ascending"),
-        (BIG, ((BIG - 1,), (BIG - 1,)), ValueError,
-         "set 1 duplicates an earlier set"),
-    ],
-)
+FAULTY_SYSTEMS = [
+    (4, ((0, 1), ()), ValueError, "set 1 is empty"),
+    (4, ((0, True),), TypeError, "set 0 holds non-int element True"),
+    (4, ((0, 1), (0, 1.0)), TypeError, "set 1 holds non-int element 1.0"),
+    (4, ((np.int64(1),),), TypeError,
+     f"set 0 holds non-int element {np.int64(1)!r}"),
+    (4, ((0, 1), (2, 1)), ValueError, "set 1 is not strictly ascending"),
+    (4, ((0, 0),), ValueError, "set 0 is not strictly ascending"),
+    (4, ((-1, 0),), ValueError, "set 0 is not strictly ascending"),
+    # descending across the int64 range: a wrapped np.diff reads it as
+    # ascending
+    (BIG, ((2**62, -(2**62) - 2**61),), ValueError,
+     "set 0 is not strictly ascending"),
+    (4, ((0, 4),), ValueError, "set 0 references element 4 outside 0..3"),
+    (4, ((0, 1), (2,), (0, 1)), ValueError,
+     "set 2 duplicates an earlier set"),
+    # the first faulty set names the error, whatever the later ones hold
+    (4, ((0, 1), (0, 1), ()), ValueError, "set 1 duplicates an earlier set"),
+    (4, ((0, 2.0, 1),), TypeError, "set 0 holds non-int element 2.0"),
+    (4, ((2, 1, 1.5),), ValueError, "set 0 is not strictly ascending"),
+    (4, ((0, 5), (1, 0)), ValueError,
+     "set 0 references element 5 outside 0..3"),
+    (BIG, ((BIG - 1, BIG - 2),), ValueError,
+     "set 0 is not strictly ascending"),
+    (BIG, ((0,), (1, BIG)), ValueError,
+     f"set 1 references element {BIG} outside 0..{BIG - 1}"),
+    (BIG, ((-BIG, 0),), ValueError, "set 0 is not strictly ascending"),
+    (BIG, ((BIG - 1,), (BIG - 1,)), ValueError,
+     "set 1 duplicates an earlier set"),
+]
+
+
+@pytest.mark.parametrize("n, sets, error, message", FAULTY_SYSTEMS)
 def test_validation_names_the_first_faulty_set(n, sets, error, message):
     with pytest.raises(error) as info:
         SetSystem(n, sets, 2)
     assert str(info.value) == message
+
+
+def _int64_columns(sets):
+    """The CSR columns of ``sets``: int64 ids and their set offsets."""
+    ids = np.array([e for s in sets for e in s], np.int64)
+    return ids, np.cumsum([0, *map(len, sets)], dtype=np.int64)
+
+
+# the faulty systems whose ids int64 columns can hold: an empty set, ids
+# out of order, an id out of range and a repeated set
+@pytest.mark.parametrize("n, sets, error, message", [
+    case for case in FAULTY_SYSTEMS
+    if all(type(e) is int and -(2**63) <= e < 2**63 for s in case[1] for e in s)
+])
+def test_column_intake_names_the_same_first_faulty_set(n, sets, error, message):
+    with pytest.raises(error) as info:
+        SetSystem._from_columns(n, *_int64_columns(sets), 2)
+    assert str(info.value) == message
+
+
+def test_column_intake_checks_the_order_and_ground_size():
+    ids, indptr = _int64_columns(((0, 1),))
+    with pytest.raises(ValueError, match="order k must be an int >= 2"):
+        SetSystem._from_columns(4, ids, indptr, 1)
+    with pytest.raises(ValueError, match="ground size must be a positive int"):
+        SetSystem._from_columns(0, ids, indptr, 2)
+    system = SetSystem._from_columns(4, ids, indptr, 2)
+    assert system == SetSystem(4, ((0, 1),), 2)
+    assert all(type(e) is int for s in system.sets for e in s)
 
 
 def test_columns_hold_the_sets():
@@ -750,6 +779,26 @@ def test_hyperplane_rejects_unsupported_dimension():
         hyperplane_system([Point(0, 0)], 3)
 
 
+@pytest.mark.parametrize(
+    "dim", [2.0, 3.0, np.float64(2), True, False, np.True_, "2", None, 1, 4,
+            np.int64(4)],
+)
+def test_hyperplane_validates_the_dimension_before_any_work(dim):
+    # the points are not even iterable: any work would fail differently
+    with pytest.raises(ValueError) as info:
+        hyperplane_system(object(), dim)
+    assert str(info.value) == f"supported dimensions are 2 and 3, got {dim!r}"
+
+
+@pytest.mark.parametrize("dim", [np.int64(2), np.int32(3), np.uint8(3)])
+def test_hyperplane_takes_integer_dimensions_as_plain_ints(dim):
+    coords = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]
+    points = [Point(c[:int(dim)]) for c in coords]
+    system = hyperplane_system(points, dim)
+    assert type(system.k) is int
+    assert system == hyperplane_system(points, int(dim))
+
+
 def test_hyperplane_float_coordinates():
     points = [Point(0.0, 0.0), Point(0.5, 0.0), Point(1.0, 0.0), Point(0.0, 2.5)]
     system = hyperplane_system(points, 2)
@@ -816,12 +865,30 @@ def small_int_points(draw):
     return dim, [draw(st.sampled_from(pool)) for _ in range(n)]
 
 
+def assert_columns_handed_over(system):
+    """The columns the build handed over are those the tuple constructor
+    makes of the same sets, dtypes included, and the text form parses back
+    to the same system."""
+    rebuilt = SetSystem(system.n, system.sets, system.k)
+    for got, want in ((system.ids, rebuilt.ids), (system.indptr, rebuilt.indptr)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert parse_set_system(format_set_system(system)) == system
+
+
 @given(small_int_points())
+# three points of a line lead several planes through it: their sets share
+# their first three ids, the runs that the final sort must break
+@example((3, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+              (0, 1, 1)]))
+# copies of one point lead several lines: their sets share the first two ids
+@example((2, [(0, 0), (0, 0), (1, 0), (0, 1), (1, 1), (2, -1)]))
 def test_hyperplane_system_matches_exact_definition(case):
     dim, coords = case
     system = hyperplane_system([Point(c) for c in coords], dim)
     assert (system.n, system.k) == (len(coords), dim)
     assert system.sets == exact_hyperplane_sets(coords, dim)
+    assert_columns_handed_over(system)
 
 
 @given(small_int_points())
@@ -924,6 +991,7 @@ def test_hyperplane_system_exact_across_the_int64_limit(dim, coords):
     system = hyperplane_system([Point(c) for c in coords], dim)
     rational = [tuple(Fraction(x) for x in c) for c in coords]
     assert system.sets == exact_hyperplane_sets(rational, dim)
+    assert_columns_handed_over(system)
 
 
 def test_hyperplane_parallel_flats_offsets_two_to_the_64_apart():
@@ -982,6 +1050,7 @@ def test_hyperplane_system_exact_with_many_repeats(dim, coords):
     system = hyperplane_system([Point(c) for c in coords], dim)
     assert (system.n, system.k) == (len(coords), dim)
     assert system.sets == exact_hyperplane_sets(coords, dim)
+    assert_columns_handed_over(system)
 
 
 def test_restriction_keeps_property_on_line_systems():
