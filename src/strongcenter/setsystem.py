@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError, check_size_guard
 from .geometry import Point, heavy_threshold_exceeded, selection_rank
-from .pointfile import point_columns, read_header
+from .pointfile import format_number, point_columns, read_header
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,9 @@ class AbstractResult:
 
     ``element`` is the found ground id, or None. On failure ``witness``
     lists the input's heavy set indices, whose common intersection is
-    empty.
-    ``trace`` records one (ground size, chosen set index) pair per level
-    the solver visits: the input and, when it restricts, the restricted
-    system; the chosen index is None at the last level.
+    empty. ``trace`` is ``((n, None),)``, or ``((n, c), (|C|, None))`` at
+    order k >= 3 with heavy sets, C the largest (ties to the lowest index
+    c): the restriction to C is read in place, never built.
     """
 
     element: Optional[int]
@@ -233,15 +232,12 @@ def _violates(members, combo) -> bool:
     )
 
 
-def _one_core(members, group) -> bool:
-    """Whether the sets of ``group`` all meet pairwise in one common core:
-    each holds the first two sets' intersection, and their parts outside
-    it are pairwise disjoint. Linear in the group's total set size."""
-    core = members[group[0]] & members[group[1]]
-    if not all(core <= members[i] for i in group):
-        return False
-    outside = [members[i] - core for i in group]
-    return len(frozenset().union(*outside)) == sum(map(len, outside))
+def _runs(*columns) -> tuple:
+    """``(starts, lengths)`` of the runs of equal rows in sorted columns."""
+    edge = np.ones(len(columns[0]), bool)
+    edge[1:] = np.logical_or.reduce([c[1:] != c[:-1] for c in columns])
+    starts = np.flatnonzero(edge)
+    return starts, np.diff(starts, append=len(edge))
 
 
 def check_bounded_intersection(
@@ -259,14 +255,15 @@ def check_bounded_intersection(
     run of equal pairs is a pair group. At order 2 the answer is the
     smallest first two sets of a pair group. At order k >= 3 a pair group
     L of at least k sets passes when its sets all meet pairwise in one
-    core, as every k-tuple then meets in a pair's intersection; that test
-    runs on frozensets of the sets of such groups and costs Σ_{S in L} |S|.
-    The k-tuples inside every other group are tested, Σ C(|L|, k) * k * n
-    more. All three costs are guarded. The lexicographically first
-    violating tuple is returned; fewer than k sets pass vacuously.
+    core, as every k-tuple then meets in a pair's intersection: exactly
+    when each id of its sets lies in all |L| of them or in one, tested by
+    one sort of the (group, id) pairs, Σ_{S in L} |S|. The k-tuples of the
+    failing groups are tested on frozensets, Σ C(|L|, k) * k * n more. All
+    three costs are guarded. The lexicographically first violating tuple
+    is returned; fewer than k sets pass vacuously.
     """
     k, ids, indptr = system.k, system.ids, system.indptr
-    if len(system.sets) < k:
+    if len(indptr) - 1 < k:
         return None
     sizes = np.diff(indptr)
     counts = np.bincount(sizes)
@@ -282,32 +279,34 @@ def check_bounded_intersection(
         left, right = np.triu_indices(width, 1)
         parts.append((block[:, left].ravel(), block[:, right].ravel(),
                       np.repeat(owners, len(left))))
-    # no a * n + b key: it overflows int64 past n = 2**31.5, and ids may
-    # be objects
+    # no a * n + b or group * n + id key: int64 overflows, ids may be objects
     a, b, owner = map(np.concatenate, zip(*parts))
     order = np.lexsort((owner, b, a))
     a, b, owner = a[order], b[order], owner[order]
-    step = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], step)))
-    lengths = np.diff(starts, append=len(owner))
+    starts, lengths = _runs(a, b)
     if k == 2:
         shared = starts[lengths > 1]
         return min(zip(owner[shared].tolist(), owner[shared + 1].tolist()),
                    default=None)
     crowded = lengths >= k
     listed = owner[np.repeat(crowded, lengths)]
-    cost = insertions + int(sizes[listed].sum())
+    del parts, a, b, owner, order  # lowers the peak
+    span, held = lengths[crowded], sizes[listed]
+    cost = insertions + int(held.sum())
     check_size_guard(cost, budget)
-    used = np.zeros(len(system.sets), bool)
-    used[listed] = True
-    members = [frozenset(s) if u else None
-               for s, u in zip(system.sets, used.tolist())]
-    cuts = np.cumsum(lengths[crowded]).tolist()
-    listed = listed.tolist()
-    groups = [listed[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
-    groups = [g for g in groups if not _one_core(members, g)]
+    tags = np.arange(len(span), dtype=np.min_scalar_type(len(span)))  # lowers the peak
+    group = np.repeat(np.repeat(tags, span), held)
+    member = ids[np.arange(len(group))
+                 + np.repeat(indptr[listed] - np.cumsum(held) + held, held)]
+    member = member[np.lexsort((member, group))]  # group ascends: no reorder
+    starts, runs = _runs(group, member)
+    group = group[starts]
+    failing = np.unique(group[(runs != 1) & (runs != span[group])])
+    ends = np.cumsum(span)[failing].tolist()
+    groups = [listed[e - w : e].tolist() for e, w in zip(ends, span[failing].tolist())]
     tuples = sum(math.comb(len(g), k) for g in groups)
     check_size_guard(cost + tuples * k * system.n, budget)
+    members = {s: frozenset(system.sets[s]) for g in groups for s in g}
     firsts = (next((c for c in itertools.combinations(g, k)
                     if _violates(members, c)), None) for g in groups)
     return min(filter(None, firsts), default=None)
@@ -393,7 +392,7 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
 def format_set_system(system: SetSystem) -> str:
     """Text form: header ``n k``, then one set per line, ids ascending."""
     lines = [f"{system.n} {system.k}"]
-    lines.extend(" ".join(str(e) for e in s) for s in system.sets)
+    lines.extend(" ".join(map(format_number, s)) for s in system.sets)
     return "\n".join(lines) + "\n"
 
 

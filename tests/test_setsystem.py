@@ -536,6 +536,20 @@ def small_set_systems(draw):
     )
 )
 @example(SetSystem(4, ((0, Id.A, Id.B), (Id.A, 3), (Id.A, Id.B, 3)), 2))
+# the one crowded group fails the count test, as 2 lies in two of its three
+# sets, yet holds no violating triple
+@example(SetSystem(5, ((0, 1, 2), (0, 1, 2, 3), (0, 1, 4)), 3))
+# set 0 is in the groups of pairs (0, 1) and (2, 3); only the second fails
+# the count test, as 6, 7 and 8 each lie in two of its four sets, and sets
+# 3, 4, 5 violate in it
+@example(
+    SetSystem(
+        9,
+        ((0, 1, 2, 3), (0, 1, 4), (0, 1, 5), (2, 3, 6, 7), (2, 3, 6, 8),
+         (2, 3, 7, 8)),
+        3,
+    )
+)
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     budget = 2**80 if system.n > 2**62 else None
@@ -1087,6 +1101,9 @@ def test_round_trip_is_bit_exact():
     assert text == "6 3\n0 1 2 3 4\n3 4 5\n0 5\n"
     assert parse_set_system(text) == system
     assert format_set_system(parse_set_system(text)) == text
+    # an IntEnum id is written as its int, not as str() gives it on 3.10
+    enum_ids = SetSystem(3, ((0, Id.A), (Id.A, Id.B)), 2)
+    assert parse_set_system(format_set_system(enum_ids)) == enum_ids
 
 
 def test_parse_tolerates_trailing_newline_only():
