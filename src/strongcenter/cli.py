@@ -145,7 +145,7 @@ def _cmd_abstract(args) -> int:
     report = Report("abstract", input_digest(data))
     report.add("n", system.n)
     report.add("k", system.k)
-    report.add("sets", len(system.sets))
+    report.add("sets", len(system.indptr) - 1)
     if args.check:
         violation = check_bounded_intersection(system)
         if violation is not None:

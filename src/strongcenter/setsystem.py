@@ -2,10 +2,10 @@
 
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
-of them. The solver reads the system's CSR columns and builds no
-restricted system; the brute-force oracle reads the sets' tuples,
-intersects heavy sets with no restriction at all and stays the
-independent route for tests.
+of them. A system stores its sets once, as CSR columns. The solver reads
+them and builds no restricted system; the brute-force oracle reads the
+set tuples cut from them, intersects heavy sets with no restriction at
+all and stays the independent route for tests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,55 +24,59 @@ from .geometry import Point, heavy_threshold_exceeded, selection_rank
 from .pointfile import format_number, point_columns, read_header
 
 
-@dataclass(frozen=True)
 class SetSystem:
     """Ground set 0..n-1 with distinct nonempty subsets and the order k.
 
     Sets are tuples of strictly ascending element ids. Use
-    :meth:`from_sets` to canonicalize arbitrary iterables. Validation runs
-    on two CSR columns, kept outside ``==`` and ``hash``: ``ids``, int64
-    when every id is a plain int that fits, else an object array, and
-    ``indptr``; set i is ``ids[indptr[i]:indptr[i + 1]]``.
+    :meth:`from_sets` to canonicalize arbitrary iterables. The system
+    stores only two CSR columns: ``ids``, int64 when every id is a plain
+    int that fits, else an object array, and ``indptr``; set i is
+    ``ids[indptr[i]:indptr[i + 1]]``. ``sets`` is cut from them on first
+    read and kept; ``==``, ``hash`` and ``repr`` read ``(n, sets, k)``.
     """
 
-    n: int
-    sets: tuple
-    k: int
-    ids: np.ndarray = field(init=False, repr=False, compare=False)
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, n: int, sets, k: int):
+        sets = list(map(tuple, sets))
+        self._check(n, list(itertools.chain.from_iterable(sets)),
+                    np.cumsum([0, *map(len, sets)], dtype=np.int64), k)
 
-    def __post_init__(self, columns=None):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ground size must be a positive int, got {self.n!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"order k must be an int >= 2, got {self.k!r}")
-        if columns is None:
-            sets = tuple(map(tuple, self.sets))
-            flat = list(itertools.chain.from_iterable(sets))
-            ids, indptr = None, np.cumsum([0, *map(len, sets)], dtype=np.int64)
-            if set(map(type, flat)) <= {int}:
-                try:
-                    ids = np.fromiter(flat, np.int64, len(flat))
-                except OverflowError:
-                    ids = np.array(flat, object)
-            del flat  # lowers the peak
-        else:  # the private column intake: the sets are cut from them below
-            sets, (ids, indptr) = None, columns
-        valid = ids is not None and np.diff(indptr).all()
+    @classmethod
+    def _from_columns(cls, n: int, ids, indptr, k: int) -> "SetSystem":
+        """The system of CSR columns, checked as the constructor checks."""
+        system = cls.__new__(cls)
+        system._check(n, ids, indptr, k)
+        return system
+
+    def _check(self, n, ids, indptr, k) -> None:
+        """Store the columns and check them; a list of ids becomes int64
+        when every id is a plain int that fits, else an object array."""
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"ground size must be a positive int, got {n!r}")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+            raise ValueError(f"order k must be an int >= 2, got {k!r}")
+        plain = True
+        if isinstance(ids, list):
+            plain = set(map(type, ids)) <= {int}
+            try:
+                ids = np.fromiter(ids, np.int64 if plain else object, len(ids))
+            except OverflowError:
+                ids = np.fromiter(ids, object, len(ids))
+        self.n, self.k, self.ids, self.indptr = n, k, ids, indptr
+        sizes = np.diff(indptr)
+        valid = plain and sizes.all()
         if valid:
             rises = ids[1:] > ids[:-1]  # unlike np.diff, cannot wrap in int64
             rises[indptr[1:-1] - 1] = True  # pairs across two sets; starts: >= 0
             valid = (rises.all() and (ids[indptr[:-1]] >= 0).all()
-                     and int(ids.max(initial=-1)) < self.n)
-        if sets is None:  # valid ids share one int object per id
-            listed = (np.arange(self.n).astype(object)[ids] if valid else ids).tolist()
-            sets = tuple([tuple(listed[a:b])
-                          for a, b in itertools.pairwise(indptr.tolist())])
-            del listed  # lowers the peak
-        valid = valid and len(set(sets)) == len(sets)
+                     and int(ids.max(initial=-1)) < n)
+            for width in np.flatnonzero(np.bincount(sizes) > 1).tolist():
+                # a repeated set is a repeated row of its size's (m x s) block
+                block = ids[indptr[:-1][sizes == width, None] + np.arange(width)]
+                block = block[np.lexsort(block.T)]
+                valid = valid and not (block[1:] == block[:-1]).all(1).any()
         if not valid:  # the first faulty set names the error
-            seen = set()
-            for index, s in enumerate(sets):
+            first = {}
+            for index, s in enumerate(self.sets):
                 if not s:
                     raise ValueError(f"set {index} is empty")
                 for before, element in zip((-1,) + s, s):
@@ -81,37 +85,37 @@ class SetSystem:
                             f"set {index} holds non-int element {element!r}")
                     if element <= before:
                         raise ValueError(f"set {index} is not strictly ascending")
-                if s[-1] >= self.n:
+                if s[-1] >= n:
                     raise ValueError(f"set {index} references element {s[-1]} "
-                                     f"outside 0..{self.n - 1}")
-                if s in seen:
+                                     f"outside 0..{n - 1}")
+                if first.setdefault(s, index) != index:
                     raise ValueError(f"set {index} duplicates an earlier set")
-                seen.add(s)
-            # only int subclasses get here
-            ids = np.array(list(itertools.chain.from_iterable(sets)), object)
-        for name, value in (("sets", sets), ("ids", ids), ("indptr", indptr)):
-            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def sets(self) -> tuple:
+        """The sets as tuples of ids, cut from the columns on first read."""
+        listed = self.ids.tolist()
+        return tuple([tuple(listed[a:b])
+                      for a, b in itertools.pairwise(self.indptr.tolist())])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.sets, self.k) == (other.n, other.sets, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.sets, self.k))
+
+    def __repr__(self) -> str:
+        return f"SetSystem(n={self.n!r}, sets={self.sets!r}, k={self.k!r})"
 
     @classmethod
     def from_sets(cls, n: int, sets, k: int) -> "SetSystem":
         """Build a system from arbitrary iterables: members are sorted and
         deduplicated, empty sets and repeated sets are dropped."""
-        canonical = []
-        seen = set()
-        for s in sets:
-            t = tuple(sorted(set(s)))
-            if t and t not in seen:
-                seen.add(t)
-                canonical.append(t)
+        canonical = dict.fromkeys(tuple(sorted(set(s))) for s in sets)
+        canonical.pop((), None)
         return cls(n, tuple(canonical), k)
-
-    @classmethod
-    def _from_columns(cls, n: int, ids, indptr, k: int) -> "SetSystem":
-        """The system of checked CSR columns, with its sets cut from them."""
-        system = object.__new__(cls)
-        system.__dict__.update(n=n, k=k)  # the fields __init__ would set
-        system.__post_init__((ids, indptr))
-        return system
 
 
 @dataclass(frozen=True)
@@ -150,12 +154,8 @@ def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
         raise ValueError("cannot lower the order below 2")
     base = system.sets[set_index]
     forward = {element: i for i, element in enumerate(base)}
-    restricted = SetSystem.from_sets(
-        len(base),
-        ((forward[e] for e in s if e in forward) for s in system.sets),
-        system.k - 1,
-    )
-    return restricted, base
+    restricted = ((forward[e] for e in s if e in forward) for s in system.sets)
+    return SetSystem.from_sets(len(base), restricted, system.k - 1), base
 
 
 def _shared(ids, sizes, chosen) -> np.ndarray:
@@ -306,7 +306,8 @@ def check_bounded_intersection(
     groups = [listed[e - w : e].tolist() for e, w in zip(ends, span[failing].tolist())]
     tuples = sum(math.comb(len(g), k) for g in groups)
     check_size_guard(cost + tuples * k * system.n, budget)
-    members = {s: frozenset(system.sets[s]) for g in groups for s in g}
+    members = {s: frozenset(ids[indptr[s] : indptr[s + 1]].tolist())
+               for g in groups for s in g}
     firsts = (next((c for c in itertools.combinations(g, k)
                     if _violates(members, c)), None) for g in groups)
     return min(filter(None, firsts), default=None)
@@ -400,18 +401,17 @@ def parse_set_system(text: str) -> SetSystem:
     """Parse the text form of a set system; inverse of
     :func:`format_set_system` on canonical input."""
     lines, n, k = read_header(text, "set-system file", "n k")
-    sets = []
+    ids, sizes = [], [0]
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if not parts:
             raise ParseError(f"line {line_no}: empty set")
         try:
-            sets.append(tuple(map(int, parts)))
+            ids.extend(map(int, parts))
         except ValueError:
-            raise ParseError(
-                f"line {line_no}: element ids must be integers"
-            ) from None
+            raise ParseError(f"line {line_no}: element ids must be integers") from None
+        sizes.append(len(parts))
     try:
-        return SetSystem(n, tuple(sets), k)
+        return SetSystem._from_columns(n, ids, np.cumsum(sizes, dtype=np.int64), k)
     except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from exc

@@ -92,6 +92,15 @@ FAULTY_SYSTEMS = [
     (BIG, ((-BIG, 0),), ValueError, "set 0 is not strictly ascending"),
     (BIG, ((BIG - 1,), (BIG - 1,)), ValueError,
      "set 1 duplicates an earlier set"),
+    # repeated sets are found per set size: sets of other sizes lie between
+    (5, ((0, 1, 2), (3,), (1, 4), (0, 1, 2)), ValueError,
+     "set 3 duplicates an earlier set"),
+    # the repeat sorts before the earlier rows of its size
+    (4, ((2, 3), (0, 1), (1, 2), (0, 1)), ValueError,
+     "set 3 duplicates an earlier set"),
+    # a later set out of range does not hide the earlier repeat
+    (4, ((0, 1), (2,), (0, 1), (1, 4)), ValueError,
+     "set 2 duplicates an earlier set"),
 ]
 
 
@@ -99,6 +108,19 @@ FAULTY_SYSTEMS = [
 def test_validation_names_the_first_faulty_set(n, sets, error, message):
     with pytest.raises(error) as info:
         SetSystem(n, sets, 2)
+    assert str(info.value) == message
+
+
+# the faulty systems that a text file can hold: nonempty sets of plain
+# ints, past int64 included
+@pytest.mark.parametrize("n, sets, error, message", [
+    case for case in FAULTY_SYSTEMS
+    if all(case[1]) and all(type(e) is int for s in case[1] for e in s)
+])
+def test_parse_names_the_same_first_faulty_set(n, sets, error, message):
+    text = f"{n} 2\n" + "".join(" ".join(map(str, s)) + "\n" for s in sets)
+    with pytest.raises(ParseError) as info:
+        parse_set_system(text)
     assert str(info.value) == message
 
 
@@ -141,9 +163,30 @@ def test_columns_hold_the_sets():
     big = SetSystem(BIG, ((0, 2**69), (2**69, 2**69 + 1)), 3)
     assert big.ids.dtype == object
     assert big.ids.tolist() == [0, 2**69, 2**69, 2**69 + 1]
-    # the columns take no part in equality or hashing
+    # equality and hashing read the sets cut from the columns
     assert big == SetSystem(BIG, ((0, 2**69), (2**69, 2**69 + 1)), 3)
     assert hash(system) == hash(SetSystem(6, system.sets, 3))
+
+
+def test_the_columns_are_the_only_stored_copy_of_the_sets():
+    def unread(system):
+        return "sets" not in vars(system)
+
+    built = hyperplane_system([Point(c) for c in itertools.product(range(3), repeat=2)], 2)
+    assert unread(built)
+    assert strong_centerpoint(built).found and unread(built)
+    assert check_bounded_intersection(built) is None and unread(built)
+    # every crowded pair group of the first has one core; the second's
+    # group fails the core test, and its sets become frozensets
+    for text, violation in (("5 3\n0 1 2\n0 1 3\n0 1 4\n", None),
+                            ("5 3\n0 1 2 3\n0 1 2 4\n0 1 3 4\n", (0, 1, 2))):
+        parsed = parse_set_system(text)
+        assert unread(parsed)
+        assert check_bounded_intersection(parsed) == violation and unread(parsed)
+    # the sets are cut once, on first read, and kept
+    assert parsed.sets is parsed.sets and not unread(parsed)
+    assert repr(parsed) == ("SetSystem(n=5, sets=((0, 1, 2, 3), (0, 1, 2, 4), "
+                            "(0, 1, 3, 4)), k=3)")
 
 
 class Id(enum.IntEnum):
