@@ -79,33 +79,19 @@ class CenterpointCertificate:
 class _Projector:
     """Per-orientation projections of one point set, vectorized.
 
-    Built from a Point sequence or a parsed :class:`PointFile`; either way
-    the coordinates become per-axis columns, then arrays. Columns stay
-    int64 (exact) for integer instances inside overflow-safe bounds and use
+    Built by :func:`_projector_for` from per-axis coordinate columns and
+    ``point(i)``, which returns input point ``i``. Columns stay int64
+    (exact) for integer instances inside overflow-safe bounds and use
     float64 for float instances. Object dtype takes the rest: oversized
-    integers, and integers mixed with floats wherever float64 would round a
-    sum that :func:`project` keeps exact. Accumulation is elementwise per
+    integers, and integers mixed with floats wherever float64 would round
+    a sum that :func:`project` keeps exact. Accumulation is elementwise per
     axis so results equal :func:`project`, keeping certificate offsets and
-    verifier counts agreed on exact ties. ``point(i)`` returns input point
-    ``i``.
+    verifier counts agreed on exact ties.
     """
 
-    def __init__(
-        self,
-        points: Union[Sequence[Point], PointFile],
-        family: OrientationFamily,
-    ):
-        dim = family.dim
-        if isinstance(points, PointFile):
-            if points.dim != dim:
-                raise DimensionMismatchError(
-                    f"points have dimension {points.dim}, family has {dim}"
-                )
-            columns, self.point = points.columns, points.point
-        else:
-            columns = point_columns(points, dim)
-            self.point = points.__getitem__
+    def __init__(self, columns, point, family: OrientationFamily):
         self.family = family
+        self.point = point
         self.n = len(columns[0])
         self._cols = _column_arrays(columns, family)
         self._cache: dict[int, np.ndarray] = {}
@@ -135,7 +121,7 @@ class _Projector:
         arr = self.along(index)
         strict = True
         if arr.dtype == np.int64:
-            if isinstance(value, float) and math.isfinite(value):
+            if isinstance(value, float):
                 value = math.ceil(value)  # x < v  <=>  x < ceil(v), x integral
             if value > _INT64_MAX:
                 return self.n
@@ -168,10 +154,8 @@ def _column_arrays(columns, family: OrientationFamily) -> list:
     """int64, float64 or object arrays for ``columns`` (int64 arrays or
     sequences of Python numbers), chosen as :class:`_Projector` describes."""
     dim = family.dim
-    dir_bound = max(
-        (abs(c) for o in family if o.is_integral for c in o.direction),
-        default=0,
-    )
+    dir_bound = max((abs(c) for o in family if o.is_integral
+                     for c in o.direction), default=0)
     if all(_holds_ints(col, all) for col in columns):
         coord_bound = max(map(_magnitude, columns))
         if (coord_bound + 1) * (dir_bound + 1) * dim < _INT64_SAFE:
@@ -179,19 +163,16 @@ def _column_arrays(columns, family: OrientationFamily) -> list:
     else:
         try:
             arrays = [np.asarray(col, dtype=np.float64) for col in columns]
-        except OverflowError:
-            arrays = None
-        if arrays is not None and dir_bound:
+        except OverflowError:  # an int past float64
+            pass
+        else:
             # project() sums integer terms exactly; float64 agrees only
             # while every such partial sum stays below 2**53
-            coord_bound = max(float(np.abs(a).max()) for a in arrays)
-            bound = (coord_bound + 1) * (dir_bound + 1) * dim
-            if bound >= _FLOAT64_EXACT and any(
-                _holds_ints(col, any) for col in columns
-            ):
-                arrays = None
-        if arrays is not None:
-            return arrays
+            if (not dir_bound
+                    or (max(float(np.abs(a).max()) for a in arrays) + 1)
+                    * (dir_bound + 1) * dim < _FLOAT64_EXACT
+                    or not any(_holds_ints(col, any) for col in columns)):
+                return arrays
     return [np.asarray(col, dtype=object) for col in columns]
 
 
@@ -209,14 +190,22 @@ def _magnitude(column) -> int:
 
 
 def _projector_for(points, family: OrientationFamily) -> _Projector:
-    """A new projector for a Point sequence; for a PointFile, the one kept
-    on it for ``family``. Equal families project every point identically,
-    so the family itself is the key."""
+    """The projector of ``points`` for ``family``; the one place that tells
+    a Point sequence from a PointFile. A Point sequence is checked and
+    turned into columns on every call. A PointFile is checked for
+    dimension and keeps one projector per family: equal families project
+    every point identically, so the family itself is the key."""
+    dim = family.dim
     if not isinstance(points, PointFile):
-        return _Projector(points, family)
+        return _Projector(point_columns(points, dim), points.__getitem__, family)
+    if points.dim != dim:
+        raise DimensionMismatchError(
+            f"points have dimension {points.dim}, family has {dim}"
+        )
     projector = points.projectors.get(family)
     if projector is None:
-        projector = points.projectors[family] = _Projector(points, family)
+        projector = _Projector(points.columns, points.point, family)
+        points.projectors[family] = projector
     return projector
 
 

@@ -2,10 +2,10 @@
 
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
-of them. A system stores its sets once, as CSR columns. The solver reads
-them and builds no restricted system; the brute-force oracle reads the
-set tuples cut from them, intersects heavy sets with no restriction at
-all and stays the independent route for tests.
+of them. A system stores its sets once, as CSR columns. The solver, which
+builds no restricted system, the check and the text writer read them; the
+brute-force oracle reads the set tuples cut from them, intersects heavy
+sets with no restriction and stays the independent route for tests.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     per distinct set size, then the heavy sets' tuples are intersected as
     frozensets, with no restriction.
     """
-    check_size_guard(system.n * max(1, len(system.sets)))
+    check_size_guard(system.n * max(1, len(system.indptr) - 1))
     heavy_sizes = {size for size in set(map(len, system.sets))
                    if heavy_threshold_exceeded(size, system.n, system.k)}
     heavy = [frozenset(s) for s in system.sets if len(s) in heavy_sizes]
@@ -217,11 +217,10 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
 
 
 def _violates(members, combo) -> bool:
-    """Whether k >= 3 sets meet in two or more elements that no
-    leave-one-out sub-tuple already meets in."""
+    """Whether k >= 3 sets meet in elements that no leave-one-out sub-tuple
+    already meets in. The sets come from one pair group, so they share its
+    pair and meet in two or more elements."""
     common = frozenset.intersection(*(members[i] for i in combo))
-    if len(common) <= 1:
-        return False
     # equality with a sub-tuple of >= 2 sets implies equality with a
     # leave-one-out intersection containing it, so checking those k
     # (k-1)-tuples suffices
@@ -392,8 +391,10 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
 
 def format_set_system(system: SetSystem) -> str:
     """Text form: header ``n k``, then one set per line, ids ascending."""
+    listed = system.ids.tolist()
     lines = [f"{system.n} {system.k}"]
-    lines.extend(" ".join(map(format_number, s)) for s in system.sets)
+    lines.extend(" ".join(map(format_number, listed[a:b]))
+                 for a, b in itertools.pairwise(system.indptr.tolist()))
     return "\n".join(lines) + "\n"
 
 

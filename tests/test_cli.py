@@ -216,6 +216,16 @@ def test_cli_compute_collinear_with_custom_family(tmp_path, capsys):
     assert "rank: 3" in out
 
 
+def test_cli_custom_normals_of_another_dimension_exit_3(tmp_path, capsys):
+    points = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
+    normals = write(tmp_path, "f.txt", "3 2\n1 0 0\n-1 0 0\n")
+    code, out, err = run(
+        capsys, "compute", points, "--family", "custom:" + normals
+    )
+    assert code == 3 and out == ""
+    assert "normals of dimension 3 for points of dimension 2" in err
+
+
 def _compute_then_verify(capsys, points, normals):
     """Run compute with the custom family, then verify its chosen point
     with the same family; return compute's report and verify's exit code."""

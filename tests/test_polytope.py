@@ -14,6 +14,7 @@ from strongcenter import (
     Point,
     PointFile,
     SizeGuardError,
+    Verdict,
     axis_box_family,
     brute_force_max_avoiding,
     compute_strong_centerpoint,
@@ -341,6 +342,32 @@ def test_int_candidate_against_float64_column_is_exact():
     verdict = verify_strong_centerpoint(points, PM_X, Point(2**53 + 1, 0))
     assert not verdict.ok
     assert verdict.witness_count == 4
+
+
+@pytest.mark.parametrize(
+    "coords, candidate, expected",
+    [
+        # thresholds below int64 against an int64 column: nothing lies
+        # below along +x, everything along -x
+        ([(0, 0), (1, 0), (2, 0)], Point(-10**30, 0), (3, Orientation(-1, 0))),
+        ([(0, 0), (1, 0), (2, 0)], Point(-1e30, 0), (3, Orientation(-1, 0))),
+        # int thresholds past float64 against a float64 column
+        ([(0.5, 0.0), (1.5, 0.0)], Point(10**400, 0), (2, Orientation(1, 0))),
+        ([(0.5, 0.0), (1.5, 0.0)], Point(-10**400, 0), (2, Orientation(-1, 0))),
+    ],
+    ids=["int64-below-int", "int64-below-float", "float64-above-int",
+         "float64-below-int"],
+)
+def test_out_of_range_thresholds_count_every_point_or_none(
+    coords, candidate, expected
+):
+    points = [Point(c) for c in coords]
+    count, orientation = expected
+    assert brute_force_max_avoiding(points, PM_X, candidate) == count
+    for intake in (points, PointFile.from_points(points)):
+        assert max_avoiding_count(intake, PM_X, candidate) == expected
+        verdict = verify_strong_centerpoint(intake, PM_X, candidate)
+        assert verdict == Verdict(False, orientation, count)
 
 
 def test_mixed_int_and_float_points_stay_exact():

@@ -189,6 +189,12 @@ def test_the_columns_are_the_only_stored_copy_of_the_sets():
                             "(0, 1, 3, 4)), k=3)")
 
 
+def test_equality_with_another_type_is_not_implemented():
+    system = SetSystem(3, ((0, 1),), 2)
+    assert system.__eq__((3, ((0, 1),), 2)) is NotImplemented
+    assert system != (3, ((0, 1),), 2) and system != system.sets
+
+
 class Id(enum.IntEnum):
     A = 1
     B = 2
@@ -408,6 +414,15 @@ def test_oracle_size_guard(monkeypatch):
     monkeypatch.setenv("SC_SIZE_GUARD", "10")
     with pytest.raises(SizeGuardError):
         brute_force_strong_centerpoints(small)
+
+
+def test_refused_oracle_cuts_no_set_tuples(monkeypatch):
+    # the guard counts the sets on the columns
+    monkeypatch.setenv("SC_SIZE_GUARD", "10")
+    system = parse_set_system("100 2\n0 1\n")
+    with pytest.raises(SizeGuardError):
+        brute_force_strong_centerpoints(system)
+    assert "sets" not in vars(system)
 
 
 # ---------------------------------------------------------------- checker
@@ -1147,6 +1162,25 @@ def test_round_trip_is_bit_exact():
     # an IntEnum id is written as its int, not as str() gives it on 3.10
     enum_ids = SetSystem(3, ((0, Id.A), (Id.A, Id.B)), 2)
     assert parse_set_system(format_set_system(enum_ids)) == enum_ids
+
+
+def test_format_writes_the_rows_from_the_columns():
+    # int64 ids, ids past int64 and IntEnum ids (an object column given
+    # straight to the columns intake) are written as ints, and no set
+    # tuples are cut
+    enum_ids = np.array([0, Id.A, Id.A, Id.B], dtype=object)
+    cases = [
+        (parse_set_system("6 3\n0 1 2 3 4\n3 4 5\n0 5\n"),
+         "6 3\n0 1 2 3 4\n3 4 5\n0 5\n"),
+        (SetSystem(BIG, ((0, 2**69), (2**69, 2**69 + 1)), 3),
+         f"{BIG} 3\n0 {2**69}\n{2**69} {2**69 + 1}\n"),
+        (SetSystem._from_columns(3, enum_ids, np.array([0, 2, 4]), 2),
+         "3 2\n0 1\n1 2\n"),
+    ]
+    for system, text in cases:
+        assert format_set_system(system) == text
+        assert "sets" not in vars(system)
+        assert parse_set_system(text) == system
 
 
 def test_parse_tolerates_trailing_newline_only():
