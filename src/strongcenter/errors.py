@@ -24,9 +24,9 @@ DEFAULT_BUDGET = 20_000_000
 def check_size_guard(estimated_cost: int, budget: int | None = None) -> None:
     """Raise SizeGuardError when ``estimated_cost`` exceeds the budget.
 
-    The budget is ``budget``, or DEFAULT_BUDGET when that is None, unless
-    the SC_SIZE_GUARD environment variable holds a positive integer, which
-    then overrides every guard.
+    The budget is ``budget``, or DEFAULT_BUDGET when that is None. A positive
+    integer in the SC_SIZE_GUARD environment variable overrides every guard;
+    an empty value counts as unset, and any other value raises ValueError.
     """
     raw = os.environ.get(SIZE_GUARD_ENV)
     if raw:

@@ -328,9 +328,10 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     below 2**62, else in Python ints. A d-tuple through a repeated point
     has a zero normal and drops; each point of a flat lies in some
     affinely independent d-tuple of it, so the spans list every member.
-    The sets are ordered on their first d ids, ties in Python, and handed
-    over as CSR columns. The C(n, d) spans are size-guarded, repeated
-    points included; memory grows with them.
+    A flat's first span is the greedy tuple of its members (the least, then
+    each least one off the span so far), so one sort of (first span, id)
+    pairs puts the sets in tuple order, as CSR columns. The C(n, d) spans
+    are size-guarded, repeated points included; memory grows with them.
     """
     k = operator.index(dim) if hasattr(type(dim), "__index__") else None
     if isinstance(dim, bool) or k not in (2, 3):
@@ -370,22 +371,13 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     if dims and math.prod(dims) < 2**63:  # one packed key; flats in any order
         keys = [np.ravel_multi_index([c - c.min() for c in keys], dims)]
     order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
-    step = np.logical_or.reduce([c[order][1:] != c[order][:-1] for c in keys])
-    members = (spans[:, order] + np.cumsum(np.append(0, step)) * n).ravel()
-    del spans, anchor, u, v, g, lead, normal, keys, order, step  # lowers the peak
+    starts, lengths = _runs(*(c[order] for c in keys))
+    first = np.minimum.reduceat(order, starts)  # first span; argsort is unstable
+    members = (spans[:, order] + np.repeat(first, lengths) * n).ravel()
+    del spans, anchor, u, v, g, lead, normal, keys, order, first  # lowers the peak
     members.sort()
     flat, ids = np.divmod(members[np.diff(members, prepend=-1) != 0], n)
-    cuts = np.append(np.flatnonzero(np.diff(flat, prepend=-1)), len(ids))
-    # sets hold >= k ids; only those whose first k span a lower flat can tie
-    head = np.ravel_multi_index([ids[cuts[:-1] + p] for p in range(k)], (n,) * k)
-    rank = np.argsort(head)
-    head = head[rank]
-    tied = (np.diff(head, prepend=-1) == 0) | (np.diff(head, append=-1) == 0)
-    rank[tied] = sorted(rank[tied].tolist(),
-                        key=lambda s: ids[cuts[s]:cuts[s + 1]].tolist())
-    sizes = np.diff(cuts)[rank]
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    ids = ids[np.arange(len(ids)) + np.repeat(cuts[rank] - indptr[:-1], sizes)]
+    indptr = np.append(np.flatnonzero(np.diff(flat, prepend=-1)), len(ids))
     return SetSystem._from_columns(n, ids, indptr, k)
 
 

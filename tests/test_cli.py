@@ -104,6 +104,8 @@ def test_format_points_round_trip():
     assert text == "2 3\n0 0\n1 -5\n2 3\n"
     parsed = parse_point_file(text)
     assert tuple(map(parsed.point, range(3))) == points
+    with pytest.raises(ValueError, match="^no points to format$"):
+        format_points([])
 
 
 # ------------------------------------------------------------------ report
@@ -716,17 +718,15 @@ def test_cli_generate_tightness_rejects_non_finite_jitter(capsys, jitter):
 
 
 def test_cli_generate_random_deterministic(tmp_path, capsys):
+    argv = ["generate", "random", "--seed", "9", "--n", "20", "--d", "2", "--k", "4"]
     a_path = tmp_path / "a.txt"
     b_path = tmp_path / "b.txt"
     for out_path in (a_path, b_path):
-        code, _, _ = run(
-            capsys,
-            "generate", "random",
-            "--seed", "9", "--n", "20", "--d", "2", "--k", "4",
-            "--out", str(out_path),
-        )
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0
     assert a_path.read_bytes() == b_path.read_bytes()
+    # with no --out the same text goes to standard output
+    assert run(capsys, *argv) == (0, a_path.read_text(), "")
 
 
 def test_cli_generate_convex_position(tmp_path, capsys):
@@ -761,6 +761,12 @@ def test_cli_size_guard_env_override(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "abstract", path, "--oracle")
     assert code == 0
     assert "oracle: agree" in out
+    # an empty value counts as unset
+    monkeypatch.setenv("SC_SIZE_GUARD", "")
+    check_size_guard(2)
+    code, out, _ = run(capsys, "abstract", path, "--check")
+    assert code == 0
+    assert "property: ok" in out
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "abc"])

@@ -91,6 +91,8 @@ def test_homothet_family_needs_enough_normals():
         homothet_family([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         homothet_family([(1, 0), (3, 0), (0, 1)])
+    with pytest.raises(ValueError, match="^no facet normals given$"):
+        homothet_family([])
 
 
 def test_named_family_dispatch():

@@ -28,6 +28,7 @@ def test_point_basics():
     assert p.dim == 2
     assert tuple(p) == (1, 2)
     assert p == Point((1, 2))
+    assert hash(p) == hash(Point((1, 2)))
 
 
 def test_point_rejects_bad_coordinates():
@@ -110,6 +111,8 @@ def test_orientation_gcd_canonical_form():
     assert Orientation(-4, -6).direction == (-2, -3)
     assert Orientation(5).direction == (1,)
     assert Orientation(-7).direction == (-1,)
+    assert list(Orientation(2, 4)) == [1, 2]
+    assert Orientation(2, 4)[1] == 2
 
 
 def test_orientation_float_unit_norm():
@@ -294,6 +297,8 @@ def test_family_rejects_duplicates_and_mixed_dimension():
         OrientationFamily([Orientation(1, 0), Orientation(1, 0, 0)])
     with pytest.raises(ValueError):
         OrientationFamily([])
+    with pytest.raises(TypeError, match="^not an Orientation: 'x'$"):
+        OrientationFamily(["x"])
     fam = OrientationFamily([Orientation(1, 0), Orientation(-1, 0)])
     assert fam.k == 2
     assert fam.dim == 2
@@ -329,6 +334,8 @@ def test_halfspace_contains_closed_boundary():
     assert h.contains(Point(2, 5))
     assert h.contains(Point(-3, 0))
     assert not h.contains(Point(3, 0))
+    with pytest.raises(TypeError, match="^not an Orientation: 'x'$"):
+        Halfspace("x", 0)
 
 
 def test_kth_smallest_examples():
@@ -419,6 +426,8 @@ def test_heavy_threshold_validation():
         heavy_threshold_exceeded(-1, 4, 2)
     with pytest.raises(ValueError):
         heavy_threshold_exceeded(0, 0, 2)
+    with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+        heavy_threshold_exceeded(0, 1, 0)
     with pytest.raises(TypeError):
         heavy_threshold_exceeded(1.0, 4, 2)
 

@@ -46,6 +46,10 @@ def test_selection_rank_formula():
     assert selection_rank(7, 1) == 1
     assert selection_rank(7, 7) == 7
     assert selection_rank(7, 100) == 7
+    with pytest.raises(ValueError, match="^n must be a positive int, got 0$"):
+        selection_rank(0, 2)
+    with pytest.raises(ValueError, match="^k must be a positive int, got 0$"):
+        selection_rank(3, 0)
     for n in range(1, 60):
         for k in range(1, 12):
             m = selection_rank(n, k)

@@ -950,7 +950,7 @@ def assert_columns_handed_over(system):
 
 @given(small_int_points())
 # three points of a line lead several planes through it: their sets share
-# their first three ids, the runs that the final sort must break
+# their first three ids, and only each plane's first span orders them
 @example((3, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
               (0, 1, 1)]))
 # copies of one point lead several lines: their sets share the first two ids
