@@ -239,6 +239,13 @@ def _runs(*columns) -> tuple:
     return starts, np.diff(starts, append=len(edge))
 
 
+def _past(last, end) -> tuple:
+    """Per row i: how many j have last[i] < j < end[i], and those j, row by row."""
+    count = end - last - 1
+    back = np.repeat(np.cumsum(count) - count - last - 1, count)
+    return count, np.subtract(np.arange(len(back)), back, out=back)
+
+
 def check_bounded_intersection(
     system: SetSystem, budget: Optional[int] = None
 ) -> Optional[tuple]:
@@ -249,9 +256,9 @@ def check_bounded_intersection(
     its sets; a single set is not an escape, so at order 2 any pair
     sharing two elements violates, nested or not. Only sets that share an
     element pair can violate, so the sets are indexed by the element pairs
-    they hold: the Σ C(|S|, 2) pairs, each tagged with its set index, are
-    formed per set size from the ``ids`` column and sorted once, and each
-    run of equal pairs is a pair group. At order 2 the answer is the
+    they hold: the Σ C(|S|, 2) pairs, each id of the ``ids`` column with
+    every later id of its set, tagged with the set index, are sorted once,
+    and each run of equal pairs is a pair group. At order 2 the answer is the
     smallest first two sets of a pair group. At order k >= 3 a pair group
     L of at least k sets passes when its sets all meet pairwise in one
     core, as every k-tuple then meets in a pair's intersection: exactly
@@ -265,21 +272,15 @@ def check_bounded_intersection(
     if len(indptr) - 1 < k:
         return None
     sizes = np.diff(indptr)
-    counts = np.bincount(sizes)
-    widths = np.flatnonzero(counts)
-    insertions = sum(math.comb(s, 2) * int(counts[s]) for s in widths.tolist())
+    pairs = sizes * (sizes - 1) // 2
+    insertions = int(pairs.sum())
     check_size_guard(insertions, budget)
     if not insertions:
         return None
-    parts = []
-    for width in widths[widths > 1].tolist():
-        owners = np.flatnonzero(sizes == width)
-        block = ids[indptr[owners, None] + np.arange(width)]
-        left, right = np.triu_indices(width, 1)
-        parts.append((block[:, left].ravel(), block[:, right].ravel(),
-                      np.repeat(owners, len(left))))
+    count, after = _past(np.arange(len(ids)), np.repeat(indptr[1:], sizes))
+    a, b = np.repeat(ids, count), ids[after]
+    owner = np.repeat(np.arange(len(sizes)), pairs)
     # no a * n + b or group * n + id key: int64 overflows, ids may be objects
-    a, b, owner = map(np.concatenate, zip(*parts))
     order = np.lexsort((owner, b, a))
     a, b, owner = a[order], b[order], owner[order]
     starts, lengths = _runs(a, b)
@@ -289,14 +290,13 @@ def check_bounded_intersection(
                    default=None)
     crowded = lengths >= k
     listed = owner[np.repeat(crowded, lengths)]
-    del parts, a, b, owner, order  # lowers the peak
+    del after, a, b, owner, order  # lowers the peak
     span, held = lengths[crowded], sizes[listed]
     cost = insertions + int(held.sum())
     check_size_guard(cost, budget)
     tags = np.arange(len(span), dtype=np.min_scalar_type(len(span)))  # lowers the peak
     group = np.repeat(np.repeat(tags, span), held)
-    member = ids[np.arange(len(group))
-                 + np.repeat(indptr[listed] - np.cumsum(held) + held, held)]
+    member = ids[_past(indptr[listed] - 1, indptr[listed + 1])[1]]
     member = member[np.lexsort((member, group))]  # group ascends: no reorder
     starts, runs = _runs(group, member)
     group = group[starts]
@@ -348,12 +348,11 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     coords = np.array(scaled, np.int64 if normal_bound < 2**62 else object)
     spans = np.array(np.triu_indices(n, 1))  # index tuples, lexicographic
     if k == 3:  # each pair (i, j), then every third index past j
-        past = n - 1 - spans[1]
-        back = np.repeat(np.cumsum(past) - past - spans[1] - 1, past)
-        spans = np.vstack((np.repeat(spans, past, axis=1), np.arange(len(back)) - back))
-    anchor = coords[:, spans[0]]
-    u = coords[:, spans[1]] - anchor
-    v = coords[:, spans[2]] - anchor if k == 3 else None
+        count, after = _past(spans[1], n)
+        spans = np.vstack((np.repeat(spans, count, axis=1), after))
+    anchor = coords.take(spans[0], 1)
+    u = coords.take(spans[1], 1) - anchor
+    v = coords.take(spans[2], 1) - anchor if k == 3 else None
     normal = np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                        u[0] * v[1] - u[1] * v[0]] if k == 3 else [u[1], -u[0]])
     g = functools.reduce(np.gcd, normal)
@@ -373,7 +372,7 @@ def hyperplane_system(points: Sequence[Point], dim: int) -> SetSystem:
     order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     starts, lengths = _runs(*(c[order] for c in keys))
     first = np.minimum.reduceat(order, starts)  # first span; argsort is unstable
-    members = (spans[:, order] + np.repeat(first, lengths) * n).ravel()
+    members = (spans.take(order, 1) + np.repeat(first, lengths) * n).ravel()
     del spans, anchor, u, v, g, lead, normal, keys, order, first  # lowers the peak
     members.sort()
     flat, ids = np.divmod(members[np.diff(members, prepend=-1) != 0], n)

@@ -7,8 +7,12 @@ import warnings
 import pytest
 
 from strongcenter import (
+    CenterpointCertificate,
+    Halfspace,
+    Orientation,
     ParseError,
     Point,
+    PointFile,
     axis_box_family,
     compute_strong_centerpoint,
     render_plot,
@@ -187,11 +191,34 @@ def test_line_in_rect_reaches_a_wide_box():
     )
 
 
+def test_line_in_rect_misses_the_box():
+    rect = (-10, -10, 10, 10)
+    # y = 20 runs parallel to the x edges, above the box
+    assert svgplot._line_in_rect(0.0, 1.0, 20.0, rect) is None
+    # x + y = 100 crosses no edge of the box
+    assert svgplot._line_in_rect(1.0, 1.0, 100.0, rect) is None
+
+
+def test_plot_region_clips_to_empty():
+    # x <= -1 and x >= 1 meet nowhere: the region clips to nothing, and the
+    # boundary x = -1 lies left of the view box, so only x = 1 is drawn
+    assert svgplot._clip_halfplane([], 1.0, 0.0, 0.0) == []
+    points = [Point(0, 0), Point(1, 0), Point(0, 1)]
+    halfspaces = (Halfspace(Orientation(1, 0), -1), Halfspace(Orientation(-1, 0), -1))
+    cert = CenterpointCertificate(halfspaces, (), 0, 1, points[0], (0, 0))
+    svg = render_plot(PointFile.from_points(points), cert)
+    assert "<polygon" not in svg
+    assert svg.count("<line") == 1
+
+
 def test_plot_takes_a_point_file():
     points = [Point(0, 0), Point(1, 2)]
     cert = compute_strong_centerpoint(points, axis_box_family(2))
     with pytest.raises(TypeError, match="PointFile"):
         render_plot(points, cert)
+    solid = PointFile.from_points([Point(0, 0, 0), Point(1, 2, 3)])
+    with pytest.raises(ValueError, match="plots require dimension 2"):
+        render_plot(solid, cert)
 
 
 # --------------------------------------------------------------------- cli

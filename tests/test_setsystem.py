@@ -486,6 +486,14 @@ def test_checker_size_guard():
     assert check_bounded_intersection(sunflower, budget=360) is None
     with pytest.raises(SizeGuardError, match="estimated cost 360 "):
         check_bounded_intersection(sunflower, budget=359)
+    # sizes 2, 3, 1, 5, 4: 1 + 3 + 0 + 10 + 6 pair insertions; the pair
+    # (0, 1) groups sets 0, 1, 3 and 4, a core test of 2 + 3 + 5 + 4; 2
+    # lies in two of them, so C(4, 3) * 3 * 9 more for their triples
+    mixed = SetSystem(9, ((0, 1), (0, 1, 2), (5,), (0, 1, 2, 3, 4), (0, 1, 5, 6)), 3)
+    assert check_bounded_intersection(mixed, budget=142) is None
+    for budget, cost in ((19, 20), (33, 34), (141, 142)):
+        with pytest.raises(SizeGuardError, match=f"estimated cost {cost} "):
+            check_bounded_intersection(mixed, budget=budget)
 
 
 def test_checker_passes_grid_plane_system_under_default_budget():
@@ -608,6 +616,29 @@ def small_set_systems(draw):
         3,
     )
 )
+# one element pair held by sets of sizes 3, 2 and 5, at orders 2 and 3;
+# the same sets past int64 (object ids); and with a set of one id between
+# them, which holds no pair
+@example(SetSystem(6, ((0, 1, 2), (0, 1), (0, 1, 2, 3, 4)), 2))
+@example(SetSystem(6, ((0, 1, 2), (0, 1), (0, 1, 2, 3, 4)), 3))
+@example(
+    SetSystem(
+        BIG,
+        ((2**63, 2**63 + 1, 2**63 + 2), (2**63, 2**63 + 1),
+         (2**63, 2**63 + 1, 2**63 + 2, 2**63 + 3, 2**63 + 4)),
+        2,
+    )
+)
+@example(
+    SetSystem(
+        BIG,
+        ((2**63, 2**63 + 1, 2**63 + 2), (2**63, 2**63 + 1),
+         (2**63, 2**63 + 1, 2**63 + 2, 2**63 + 3, 2**63 + 4)),
+        3,
+    )
+)
+@example(SetSystem(6, ((0, 1, 2), (5,), (0, 1), (0, 1, 2, 3, 4)), 2))
+@example(SetSystem(6, ((0, 1, 2), (5,), (0, 1), (0, 1, 2, 3, 4)), 3))
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     budget = 2**80 if system.n > 2**62 else None
