@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from .errors import DimensionMismatchError, ParseError, SizeGuardError
+from .errors import DimensionMismatchError, SizeGuardError
 from .families import FAMILY_NAMES, named_family
 from .generators import (
     DEGENERATE_KINDS,
@@ -71,14 +71,9 @@ def _vector_text(values) -> str:
     return " ".join(format_number(v) for v in values)
 
 
-def _elapsed_ms(start: float) -> int:
-    return int((time.monotonic() - start) * 1000)
-
-
 def _read_points(args):
-    """Start the clock, parse the point file and load the family; returns
-    them with a report holding the family, d, n and k lines."""
-    start = time.monotonic()
+    """Parse the point file and load the family; returns them with a
+    report holding the family, d, n and k lines."""
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     family = _load_family(args.family, point_file.dim)
@@ -87,11 +82,11 @@ def _read_points(args):
     report.add("d", point_file.dim)
     report.add("n", len(point_file.columns[0]))
     report.add("k", family.k)
-    return start, point_file, family, report
+    return point_file, family, report
 
 
-def _cmd_compute(args) -> int:
-    start, point_file, family, report = _read_points(args)
+def _cmd_compute(args) -> tuple:
+    point_file, family, report = _read_points(args)
     certificate = compute_strong_centerpoint(point_file, family)
     verdict = verify_strong_centerpoint(point_file, family, certificate.point)
     report.add("rank", certificate.rank)
@@ -112,12 +107,11 @@ def _cmd_compute(args) -> int:
     report.add("chosen-index", certificate.chosen_index)
     report.add("chosen-point", point_file.rows[certificate.chosen_index])
     report.add("verdict", "ok" if verdict.ok else "fail")
-    sys.stdout.write(report.render(_elapsed_ms(start)))
-    return EXIT_OK if verdict.ok else EXIT_NEGATIVE
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
 
 
-def _cmd_verify(args) -> int:
-    start, point_file, family, report = _read_points(args)
+def _cmd_verify(args) -> tuple:
+    point_file, family, report = _read_points(args)
     tokens = args.candidate.split()
     if len(tokens) != point_file.dim:
         raise DimensionMismatchError(
@@ -134,12 +128,10 @@ def _cmd_verify(args) -> int:
             _vector_text(verdict.witness_orientation.direction),
         )
         report.add("witness-count", verdict.witness_count)
-    sys.stdout.write(report.render(_elapsed_ms(start)))
-    return EXIT_OK if verdict.ok else EXIT_NEGATIVE
+    return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
 
 
-def _cmd_abstract(args) -> int:
-    start = time.monotonic()
+def _cmd_abstract(args) -> tuple:
     data = _read_bytes(args.system_file)
     system = parse_set_system(data.decode("utf-8"))
     report = Report("abstract", input_digest(data))
@@ -153,8 +145,7 @@ def _cmd_abstract(args) -> int:
             report.add(
                 "violation-sets", " ".join(str(i) for i in violation)
             )
-            sys.stdout.write(report.render(_elapsed_ms(start)))
-            return EXIT_PROPERTY
+            return EXIT_PROPERTY, report
         report.add("property", "ok")
     else:
         report.add("property", "unchecked")
@@ -188,13 +179,10 @@ def _cmd_abstract(args) -> int:
                 )
         else:
             report.add("oracle", f"skipped (n > {_ORACLE_CAP})")
-    sys.stdout.write(report.render(_elapsed_ms(start)))
-    if not result.found or not agree:
-        return EXIT_NEGATIVE
-    return EXIT_OK
+    return (EXIT_OK if result.found and agree else EXIT_NEGATIVE), report
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple:
     data = _read_bytes(args.points_file)
     point_file = parse_point_file(data.decode("utf-8"))
     if point_file.dim != 2:
@@ -204,10 +192,10 @@ def _cmd_plot(args) -> int:
     svg = render_plot(point_file, certificate)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(svg)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple:
     if args.what == "tightness":
         family = named_family(args.family, args.d)
         instance = tightness_instance(
@@ -229,7 +217,7 @@ def _cmd_generate(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,19 +310,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    start = time.monotonic()  # time-ms: the whole command
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        code, report = args.func(args)
+        if report is not None:
+            ms = int((time.monotonic() - start) * 1000)
+            sys.stdout.write(report.render(ms))
+        return code
     except (SizeGuardError, ValueError, OverflowError, OSError) as exc:
+        # ParseError and DimensionMismatchError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        dimension = isinstance(exc, DimensionMismatchError)
+        return EXIT_DIMENSION if dimension else EXIT_INPUT
 
 
 if __name__ == "__main__":

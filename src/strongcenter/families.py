@@ -37,20 +37,13 @@ def axis_box_family(dim: int) -> OrientationFamily:
 
 def skyline_family(dim: int) -> OrientationFamily:
     """Axis boxes left open toward the negative last axis, k = 2d - 1."""
-    _check_dim(dim)
-    out = []
-    for axis in range(dim):
-        out.append(_axis(dim, axis, 1))
-        if axis < dim - 1:
-            out.append(_axis(dim, axis, -1))
-    return OrientationFamily(out)
+    return OrientationFamily(axis_box_family(dim).orientations[:-1])
 
 
 def orthant_family(dim: int) -> OrientationFamily:
     """Translates of the negative orthant: one positive direction per axis,
     k = d."""
-    _check_dim(dim)
-    return OrientationFamily([_axis(dim, axis, 1) for axis in range(dim)])
+    return OrientationFamily(axis_box_family(dim).orientations[::2])
 
 
 def downward_triangle_family() -> OrientationFamily:

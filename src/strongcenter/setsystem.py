@@ -275,8 +275,6 @@ def check_bounded_intersection(
     pairs = sizes * (sizes - 1) // 2
     insertions = int(pairs.sum())
     check_size_guard(insertions, budget)
-    if not insertions:
-        return None
     count, after = _past(np.arange(len(ids)), np.repeat(indptr[1:], sizes))
     a, b = np.repeat(ids, count), ids[after]
     owner = np.repeat(np.arange(len(sizes)), pairs)

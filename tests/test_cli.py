@@ -48,6 +48,12 @@ def strip_timing(text):
     return re.sub(r"^time-ms: \d+$", "time-ms: _", text, flags=re.M)
 
 
+def assert_error_only(out, err):
+    """An error exit writes no report and one ``error:`` line."""
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # -------------------------------------------------------------- point files
 
 
@@ -442,9 +448,9 @@ def test_cli_abstract_check_violation_exits_4(tmp_path, capsys):
 
 def test_cli_abstract_parse_error(tmp_path, capsys):
     path = write(tmp_path, "s.txt", "4\n0 1\n")
-    code, _, err = run(capsys, "abstract", path)
+    code, out, err = run(capsys, "abstract", path)
     assert code == 2
-    assert "error:" in err
+    assert_error_only(out, err)
 
 
 def test_cli_abstract_deep_order(tmp_path, capsys):
@@ -531,43 +537,48 @@ def test_cli_projection_overflow_exits_2(
 
 
 def test_cli_missing_file_exits_2(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "compute", "/nonexistent/p.txt", "--family", "axis-box"
     )
     assert code == 2
-    assert "error:" in err
+    assert_error_only(out, err)
 
 
 def test_cli_unknown_family_exits_2(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "2 1\n0 0\n")
-    code, _, err = run(capsys, "compute", path, "--family", "dodecahedron")
+    code, out, err = run(capsys, "compute", path, "--family", "dodecahedron")
     assert code == 2
-    assert "error:" in err
+    assert_error_only(out, err)
 
 
 def test_cli_malformed_points_exits_2(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "2 2\n0 0\n")
-    code, _, err = run(capsys, "compute", path, "--family", "axis-box")
+    code, out, err = run(capsys, "compute", path, "--family", "axis-box")
     assert code == 2
-    assert "error:" in err
+    assert (out, err) == (
+        "", "error: header promises 2 points, file has 1 rows\n"
+    )
 
 
 def test_cli_dimension_mismatch_exits_3(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "2 2\n0 0\n1 1\n")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "verify", path, "--family", "axis-box", "--candidate", "1 1 1"
     )
     assert code == 3
-    assert "error:" in err
+    assert (out, err) == (
+        "", "error: candidate has 3 coordinates, points have 2\n"
+    )
 
     code, _, err = run(capsys, "compute", path, "--family", "downward-triangle")
     assert code == 0  # triangle family is d=2: fine here
 
     path3 = write(tmp_path, "q.txt", "3 1\n0 0 0\n")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "compute", path3, "--family", "downward-triangle"
     )
     assert code == 3
+    assert_error_only(out, err)
 
 
 def test_cli_plot_writes_svg(tmp_path, capsys):
@@ -890,6 +901,10 @@ def test_point_file_builds_one_projector_per_family(built_projectors):
             "parse_point_file",
         ),
         (["abstract", "S"], "parse_set_system"),
+        # the exit-4 report of a violation is timed from the start too
+        (["abstract", "V", "--check"], "parse_set_system"),
+        # the clock starts before the command line is parsed
+        (["compute", "P", "--family", "axis-box"], "_build_parser"),
     ],
 )
 def test_cli_time_ms_includes_parsing(
@@ -897,13 +912,14 @@ def test_cli_time_ms_includes_parsing(
 ):
     points = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
     system = write(tmp_path, "s.txt", "3 2\n0 1\n1 2\n")
-    argv = [{"P": points, "S": system}.get(a, a) for a in argv]
+    violating = write(tmp_path, "v.txt", "4 2\n1 2\n1 2 3\n")
+    argv = [{"P": points, "S": system, "V": violating}.get(a, a) for a in argv]
     _, fast, _ = run(capsys, *argv)
     original = getattr(cli, parser)
 
-    def slow_parse(text):
+    def slow_parse(*args):
         time.sleep(0.05)
-        return original(text)
+        return original(*args)
 
     monkeypatch.setattr(cli, parser, slow_parse)
     _, slow, _ = run(capsys, *argv)

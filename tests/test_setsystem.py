@@ -639,6 +639,11 @@ def small_set_systems(draw):
 )
 @example(SetSystem(6, ((0, 1, 2), (5,), (0, 1), (0, 1, 2, 3, 4)), 2))
 @example(SetSystem(6, ((0, 1, 2), (5,), (0, 1), (0, 1, 2, 3, 4)), 3))
+# sets of one id only hold no element pair, with int64 ids and past int64
+@example(SetSystem(6, ((0,), (1,), (5,)), 2))
+@example(SetSystem(6, ((0,), (1,), (5,)), 3))
+@example(SetSystem(BIG, ((2**63,), (2**63 + 1,), (2**63 + 5,)), 2))
+@example(SetSystem(BIG, ((2**63,), (2**63 + 1,), (2**63 + 5,)), 3))
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     budget = 2**80 if system.n > 2**62 else None
