@@ -86,15 +86,17 @@ class _Projector:
     integers, and integers mixed with floats wherever float64 would round
     a sum that :func:`project` keeps exact. Accumulation is elementwise per
     axis so results equal :func:`project`, keeping certificate offsets and
-    verifier counts agreed on exact ties.
+    verifier counts agreed on exact ties. With ``keep`` each projection is
+    kept for later calls; without it none is, and each is built on demand.
     """
 
-    def __init__(self, columns, point, family: OrientationFamily):
+    def __init__(self, columns, point, family: OrientationFamily, keep=False):
         self.family = family
         self.point = point
         self.n = len(columns[0])
         self._cols = _column_arrays(columns, family)
         self._cache: dict[int, np.ndarray] = {}
+        self._keep = keep
 
     def along(self, index: int) -> np.ndarray:
         """Projections along orientation ``index``; ValueError if one
@@ -112,7 +114,8 @@ class _Projector:
                         arr = arr + self._cols[j] * direction[j]
             except FloatingPointError:
                 raise ValueError(_OVERFLOW.format(orientation)) from None
-            self._cache[index] = arr
+            if self._keep:
+                self._cache[index] = arr
         return arr
 
     def count_below(self, index: int, value) -> int:
@@ -137,17 +140,6 @@ class _Projector:
             value = rounded
         below = arr < value if strict else arr <= value
         return int(np.count_nonzero(below))
-
-    def region(self, offsets) -> tuple[list[int], list[int]]:
-        """Indices inside every halfspace ``along(i) <= offsets[i]``, and
-        how many points each halfspace contains."""
-        inside = np.ones(self.n, dtype=bool)
-        contains = []
-        for index, offset in enumerate(offsets):
-            within = np.asarray(self.along(index) <= offset, dtype=bool)
-            contains.append(int(np.count_nonzero(within)))
-            inside &= within
-        return np.flatnonzero(inside).tolist(), contains
 
 
 def _column_arrays(columns, family: OrientationFamily) -> list:
@@ -192,8 +184,9 @@ def _magnitude(column) -> int:
 def _projector_for(points, family: OrientationFamily) -> _Projector:
     """The projector of ``points`` for ``family``; the one place that tells
     a Point sequence from a PointFile. A Point sequence is checked and
-    turned into columns on every call. A PointFile is checked for
-    dimension and keeps one projector per family: equal families project
+    turned into columns on every call, and its projector keeps no
+    projections. A PointFile is checked for dimension and keeps one
+    projector per family, with its projections: equal families project
     every point identically, so the family itself is the key."""
     dim = family.dim
     if not isinstance(points, PointFile):
@@ -204,7 +197,7 @@ def _projector_for(points, family: OrientationFamily) -> _Projector:
         )
     projector = points.projectors.get(family)
     if projector is None:
-        projector = _Projector(points.columns, points.point, family)
+        projector = _Projector(points.columns, points.point, family, keep=True)
         points.projectors[family] = projector
     return projector
 
@@ -229,12 +222,21 @@ def compute_strong_centerpoint(
     returns the lowest-index point inside all k halfspaces, which is
     guaranteed to exist. Expected O(k * n) time. A :class:`PointFile` is
     projected once per family and reused by later calls on it; a Point
-    sequence is converted to columns on every call.
+    sequence is converted to columns on every call and, beyond them, holds
+    one projection at a time: each is cut and counted before the next.
     """
     projector = _projector_for(points, family)
     rank = selection_rank(projector.n, family.k)
-    offsets = [kth_smallest(projector.along(i), rank) for i in range(family.k)]
-    members, contains = projector.region(offsets)
+    inside = np.ones(projector.n, dtype=bool)
+    offsets, contains = [], []
+    for i in range(family.k):
+        projections = projector.along(i)
+        offsets.append(kth_smallest(projections, rank))
+        within = np.asarray(projections <= offsets[i], dtype=bool)
+        del projections  # free it before the next one is built
+        contains.append(int(np.count_nonzero(within)))
+        inside &= within
+    members = np.flatnonzero(inside).tolist()
     assert members, "halfspace intersection missed every point"
     halfspaces = tuple(
         Halfspace(family[i], offsets[i]) for i in range(family.k)
@@ -262,7 +264,8 @@ def verify_strong_centerpoint(
     because the worst avoiding polytope along a direction is the open
     halfspace just under the candidate. O(k * n), no tolerances. A
     :class:`PointFile` is projected once per family and reused by later
-    calls on it; a Point sequence is converted to columns on every call.
+    calls on it; a Point sequence is converted to columns on every call
+    and, beyond them, holds one projection at a time.
     """
     projector = _projector_for(points, family)
     for orientation, count in _below_counts(projector, candidate):

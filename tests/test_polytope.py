@@ -1,7 +1,9 @@
 import enum
+import math
 import operator
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from strongcenter import (
     downward_triangle_family,
     format_points,
     heavy_threshold_exceeded,
+    homothet_family,
     hyperplane_system,
     max_avoiding_count,
     normalize_orientations,
@@ -409,11 +412,34 @@ def _seeded_points(kind, seed, n=40):
         "float": lambda: rng.uniform(-50.0, 50.0),
         "mixed": lambda: rng.choice([rng.randint(-50, 50), rng.random()]),
         "beyond-int64": lambda: rng.randint(-(2**70), 2**70),
+        "near-2**53": lambda: rng.choice([
+            rng.choice([1, -1]) * rng.randint(2**53 - 8, 2**53 + 8),
+            rng.uniform(-50.0, 50.0),
+        ]),
     }[kind]
     return [Point(draw(), draw()) for _ in range(n)]
 
 
-@pytest.mark.parametrize("kind", ["int", "float", "mixed", "beyond-int64"])
+# integer normals around the plane, k = 3, 8 and 16
+_RING8 = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+_RING16 = _RING8 + [
+    (2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)
+]
+INTEGER_NORMAL_FAMILIES = [
+    homothet_family(normals)
+    for normals in ([(0, 1), (-1, -1), (1, -1)], _RING8, _RING16)
+]
+# the column dtype each kind of points projects in under those normals
+INTEGER_NORMAL_DTYPES = {
+    "int": np.int64,
+    "float": np.float64,
+    "mixed": np.float64,
+    "beyond-int64": object,
+    "near-2**53": object,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGER_NORMAL_DTYPES))
 @pytest.mark.parametrize("seed", range(5))
 def test_point_file_from_points_answers_as_the_list(kind, seed):
     points = _seeded_points(kind, seed)
@@ -423,13 +449,19 @@ def test_point_file_from_points_answers_as_the_list(kind, seed):
         assert all(map(operator.is_, point_file.point(i).coords, p.coords))
     assert [point_file.point(i) for i in range(len(points))] == points
     assert point_file.columns == tuple(zip(*(p.coords for p in points)))
-    for family in (axis_box_family(2), downward_triangle_family()):
+    for family in (axis_box_family(2), downward_triangle_family(),
+                   *INTEGER_NORMAL_FAMILIES):
         cert = compute_strong_centerpoint(point_file, family)
-        assert cert == compute_strong_centerpoint(points, family)
+        listed = compute_strong_centerpoint(points, family)
+        assert cert == listed and repr(cert) == repr(listed)
         for candidate in (cert.point, points[seed], Point(0, 0)):
-            assert verify_strong_centerpoint(point_file, family, candidate) \
-                == verify_strong_centerpoint(points, family, candidate)
-    assert len(point_file.projectors) == 2
+            verdict = verify_strong_centerpoint(point_file, family, candidate)
+            assert verdict == verify_strong_centerpoint(points, family, candidate)
+    dtype = np.dtype(INTEGER_NORMAL_DTYPES[kind])
+    for family in INTEGER_NORMAL_FAMILIES:
+        assert [c.dtype for c in point_file.projectors[family]._cols] == \
+            [dtype, dtype]
+    assert len(point_file.projectors) == 5
 
 
 @pytest.mark.parametrize("kind", ["int", "float", "mixed", "beyond-int64"])
@@ -526,6 +558,42 @@ def test_point_file_projector_follows_direction_types():
         assert [repr(h.offset) for h in cert.halfspaces] == \
             [repr(h.offset) for h in want.halfspaces]
     assert len(point_file.projectors) == 2
+
+
+def _transient_bytes(call):
+    """``call()`` and the most memory it allocated at once beyond what
+    its result keeps."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def test_point_list_calls_hold_one_projection_at_a_time():
+    # Beyond the columns a Point-list call holds one projection at a time,
+    # so 16 orientations cost no more memory than 3; kept, the 16
+    # projections of 50,000 floats (6.4 MB) would triple the peak.
+    rng = random.Random(1)
+    points = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for _ in range(50_000)]
+    sixteen_gon = homothet_family(
+        [(math.cos(j * math.pi / 8), math.sin(j * math.pi / 8))
+         for j in range(16)]
+    )
+    peaks = []
+    for family in (downward_triangle_family(), sixteen_gon):
+        cert, compute_peak = _transient_bytes(
+            lambda: compute_strong_centerpoint(points, family))
+        verdict, verify_peak = _transient_bytes(
+            lambda: verify_strong_centerpoint(points, family, cert.point))
+        assert verdict.ok
+        peaks.append((compute_peak, verify_peak))
+    (triangle_compute, triangle_verify), (gon_compute, gon_verify) = peaks
+    assert gon_compute <= 1.5 * triangle_compute
+    assert gon_verify <= 1.5 * triangle_verify
 
 
 @pytest.mark.parametrize(
