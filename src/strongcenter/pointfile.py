@@ -36,8 +36,8 @@ class PointFile:
     floats; :meth:`from_points` builds tuple columns of the points' own
     values. The polytope functions and ``render_plot`` read these, and
     ``point(i)`` reads point i from them. ``projectors`` maps each family
-    to the projection arrays the polytope functions built for it; they
-    stay in memory for as long as the PointFile does.
+    to its memoized projection function: each projection is built the
+    first time a call reads it, and kept for as long as the PointFile.
     """
 
     dim: int

@@ -10,6 +10,7 @@ same counts and must never be merged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,75 +77,63 @@ class CenterpointCertificate:
     contains: tuple
 
 
-class _Projector:
-    """Per-orientation projections of one point set, vectorized.
+def _projection(columns, family: OrientationFamily):
+    """``along(i)``, the projections of per-axis ``columns`` along
+    orientation ``i`` of ``family``, built anew on each call; ValueError
+    if one overflows float64.
 
-    Built by :func:`_projector_for` from per-axis coordinate columns and
-    ``point(i)``, which returns input point ``i``. Columns stay int64
-    (exact) for integer instances inside overflow-safe bounds and use
-    float64 for float instances. Object dtype takes the rest: oversized
-    integers, and integers mixed with floats wherever float64 would round
-    a sum that :func:`project` keeps exact. Accumulation is elementwise per
-    axis so results equal :func:`project`, keeping certificate offsets and
-    verifier counts agreed on exact ties. With ``keep`` each projection is
-    kept for later calls; without it none is, and each is built on demand.
+    Columns stay int64 (exact) for integer instances inside overflow-safe
+    bounds and use float64 for float instances. Object dtype takes the
+    rest: oversized integers, and integers mixed with floats wherever
+    float64 would round a sum that :func:`project` keeps exact.
+    Accumulation is elementwise per axis so results equal :func:`project`,
+    keeping certificate offsets and verifier counts agreed on exact ties.
     """
+    cols = _column_arrays(columns, family)
 
-    def __init__(self, columns, point, family: OrientationFamily, keep=False):
-        self.family = family
-        self.point = point
-        self.n = len(columns[0])
-        self._cols = _column_arrays(columns, family)
-        self._cache: dict[int, np.ndarray] = {}
-        self._keep = keep
-
-    def along(self, index: int) -> np.ndarray:
-        """Projections along orientation ``index``; ValueError if one
-        overflows float64."""
-        arr = self._cache.get(index)
-        if arr is None:
-            orientation = self.family[index]
-            direction = orientation.direction
-            # numpy checks the float status after object loops too, so
-            # Python floats in object columns raise here as well
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    arr = self._cols[0] * direction[0]
-                    for j in range(1, len(direction)):
-                        arr = arr + self._cols[j] * direction[j]
-            except FloatingPointError:
-                raise ValueError(_OVERFLOW.format(orientation)) from None
-            if self._keep:
-                self._cache[index] = arr
+    def along(index: int) -> np.ndarray:
+        orientation = family[index]
+        direction = orientation.direction
+        # numpy checks the float status after object loops too, so
+        # Python floats in object columns raise here as well
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                arr = cols[0] * direction[0]
+                for j in range(1, len(direction)):
+                    arr = arr + cols[j] * direction[j]
+        except FloatingPointError:
+            raise ValueError(_OVERFLOW.format(orientation)) from None
         return arr
 
-    def count_below(self, index: int, value) -> int:
-        """How many projections along orientation ``index`` lie strictly
-        below ``value``, compared exactly whatever the column dtype."""
-        arr = self.along(index)
-        strict = True
-        if arr.dtype == np.int64:
-            if isinstance(value, float):
-                value = math.ceil(value)  # x < v  <=>  x < ceil(v), x integral
-            if value > _INT64_MAX:
-                return self.n
-            if value < _INT64_MIN:
-                return 0
-        elif arr.dtype == np.float64 and isinstance(value, int):
-            try:
-                rounded = float(value)
-            except OverflowError:
-                return self.n if value > 0 else 0
-            # no float lies strictly between an int and its nearest float
-            strict = rounded >= value
-            value = rounded
-        below = arr < value if strict else arr <= value
-        return int(np.count_nonzero(below))
+    return along
+
+
+def _count_below(arr: np.ndarray, value) -> int:
+    """How many projections in ``arr`` lie strictly below ``value``,
+    compared exactly whatever the array's dtype."""
+    strict = True
+    if arr.dtype == np.int64:
+        if isinstance(value, float):
+            value = math.ceil(value)  # x < v  <=>  x < ceil(v), x integral
+        if value > _INT64_MAX:
+            return len(arr)
+        if value < _INT64_MIN:
+            return 0
+    elif arr.dtype == np.float64 and isinstance(value, int):
+        try:
+            rounded = float(value)
+        except OverflowError:
+            return len(arr) if value > 0 else 0
+        # no float lies strictly between an int and its nearest float
+        strict = rounded >= value
+        value = rounded
+    below = arr < value if strict else arr <= value
+    return int(np.count_nonzero(below))
 
 
 def _column_arrays(columns, family: OrientationFamily) -> list:
     """int64, float64 or object arrays for ``columns`` (int64 arrays or
-    sequences of Python numbers), chosen as :class:`_Projector` describes."""
+    sequences of Python numbers), chosen as :func:`_projection` describes."""
     dim = family.dim
     dir_bound = max((abs(c) for o in family if o.is_integral
                      for c in o.direction), default=0)
@@ -181,35 +170,37 @@ def _magnitude(column) -> int:
     return max(map(abs, column))
 
 
-def _projector_for(points, family: OrientationFamily) -> _Projector:
-    """The projector of ``points`` for ``family``; the one place that tells
-    a Point sequence from a PointFile. A Point sequence is checked and
-    turned into columns on every call, and its projector keeps no
-    projections. A PointFile is checked for dimension and keeps one
-    projector per family, with its projections: equal families project
-    every point identically, so the family itself is the key."""
+def _projector_for(points, family: OrientationFamily):
+    """``(n, point, along)``: the point count, ``point(i)`` returning
+    input point ``i``, and the :func:`_projection` of ``points`` for
+    ``family``; the one place that tells a Point sequence from a
+    PointFile. A Point sequence is checked and turned into columns on every
+    call, with a fresh ``along``. A PointFile is checked for dimension and
+    keeps one memoized ``along`` per family: equal families project every
+    point identically, so the family itself is the key."""
     dim = family.dim
     if not isinstance(points, PointFile):
-        return _Projector(point_columns(points, dim), points.__getitem__, family)
+        columns = point_columns(points, dim)
+        return len(columns[0]), points.__getitem__, _projection(columns, family)
     if points.dim != dim:
         raise DimensionMismatchError(
             f"points have dimension {points.dim}, family has {dim}"
         )
-    projector = points.projectors.get(family)
-    if projector is None:
-        projector = _Projector(points.columns, points.point, family, keep=True)
-        points.projectors[family] = projector
-    return projector
+    along = points.projectors.get(family)
+    if along is None:
+        along = functools.cache(_projection(points.columns, family))
+        points.projectors[family] = along
+    return len(points.columns[0]), points.point, along
 
 
-def _below_counts(projector: _Projector, candidate: Point):
+def _below_counts(along, family: OrientationFamily, candidate: Point):
     """Per family orientation, in order, the orientation and how many
     points project strictly below ``candidate`` along it."""
-    for i, o in enumerate(projector.family):
+    for i, o in enumerate(family):
         value = project(candidate, o)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(_OVERFLOW.format(o))
-        yield o, projector.count_below(i, value)
+        yield o, _count_below(along(i), value)
 
 
 def compute_strong_centerpoint(
@@ -220,17 +211,18 @@ def compute_strong_centerpoint(
 
     Cuts each orientation at the rank given by :func:`selection_rank` and
     returns the lowest-index point inside all k halfspaces, which is
-    guaranteed to exist. Expected O(k * n) time. A :class:`PointFile` is
-    projected once per family and reused by later calls on it; a Point
-    sequence is converted to columns on every call and, beyond them, holds
-    one projection at a time: each is cut and counted before the next.
+    guaranteed to exist. Expected O(k * n) time. On a :class:`PointFile`
+    each projection is built the first time a call reads it, and kept for
+    later calls with the same family; a Point sequence is converted to
+    columns on every call and, beyond them, holds one projection at a
+    time: each is cut and counted before the next.
     """
-    projector = _projector_for(points, family)
-    rank = selection_rank(projector.n, family.k)
-    inside = np.ones(projector.n, dtype=bool)
+    n, point, along = _projector_for(points, family)
+    rank = selection_rank(n, family.k)
+    inside = np.ones(n, dtype=bool)
     offsets, contains = [], []
     for i in range(family.k):
-        projections = projector.along(i)
+        projections = along(i)
         offsets.append(kth_smallest(projections, rank))
         within = np.asarray(projections <= offsets[i], dtype=bool)
         del projections  # free it before the next one is built
@@ -247,7 +239,7 @@ def compute_strong_centerpoint(
         region_members=tuple(members),
         chosen_index=chosen,
         rank=rank,
-        point=projector.point(chosen),
+        point=point(chosen),
         contains=tuple(contains),
     )
 
@@ -262,14 +254,15 @@ def verify_strong_centerpoint(
     Equivalent formulation used here: no orientation may have strictly more
     than (1 - 1/k) * n points projecting strictly below the candidate,
     because the worst avoiding polytope along a direction is the open
-    halfspace just under the candidate. O(k * n), no tolerances. A
-    :class:`PointFile` is projected once per family and reused by later
-    calls on it; a Point sequence is converted to columns on every call
-    and, beyond them, holds one projection at a time.
+    halfspace just under the candidate. O(k * n), no tolerances. On a
+    :class:`PointFile` each projection is built the first time a call
+    reads it, and kept for later calls with the same family; a Point
+    sequence is converted to columns on every call and, beyond them,
+    holds one projection at a time.
     """
-    projector = _projector_for(points, family)
-    for orientation, count in _below_counts(projector, candidate):
-        if heavy_threshold_exceeded(count, projector.n, family.k):
+    n, _, along = _projector_for(points, family)
+    for orientation, count in _below_counts(along, family, candidate):
+        if heavy_threshold_exceeded(count, n, family.k):
             return Verdict(False, orientation, count)
     return Verdict(True)
 
@@ -285,9 +278,9 @@ def max_avoiding_count(
     a single halfspace cut just below the candidate along some orientation.
     Returns that count and the first orientation achieving it.
     """
+    _, _, along = _projector_for(points, family)
     orientation, count = max(
-        _below_counts(_projector_for(points, family), candidate),
-        key=lambda pair: pair[1],
+        _below_counts(along, family, candidate), key=lambda pair: pair[1]
     )
     return count, orientation
 

@@ -854,13 +854,13 @@ def test_cli_contains_counts_match_per_point_loop(
 @pytest.fixture
 def built_projectors(monkeypatch):
     built = []
-    original = polytope._Projector.__init__
+    original = polytope._projection
 
-    def counting_init(self, *args, **kwargs):
+    def counting_projection(*args, **kwargs):
         built.append(1)
-        original(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(polytope._Projector, "__init__", counting_init)
+    monkeypatch.setattr(polytope, "_projection", counting_projection)
     return built
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from strongcenter import polytope
 from strongcenter import (
     DimensionMismatchError,
     Instance,
@@ -459,8 +460,7 @@ def test_point_file_from_points_answers_as_the_list(kind, seed):
             assert verdict == verify_strong_centerpoint(points, family, candidate)
     dtype = np.dtype(INTEGER_NORMAL_DTYPES[kind])
     for family in INTEGER_NORMAL_FAMILIES:
-        assert [c.dtype for c in point_file.projectors[family]._cols] == \
-            [dtype, dtype]
+        assert point_file.projectors[family](0).dtype == dtype
     assert len(point_file.projectors) == 5
 
 
@@ -558,6 +558,53 @@ def test_point_file_projector_follows_direction_types():
         assert [repr(h.offset) for h in cert.halfspaces] == \
             [repr(h.offset) for h in want.halfspaces]
     assert len(point_file.projectors) == 2
+
+
+def test_point_file_reuse_stays_lazy():
+    # Along (4, 3) the first point overflows float64, but verify stops at
+    # (1, 0): a PointFile builds only the projections a call reads, and an
+    # overflow raised by max_avoiding_count is not kept as a result.
+    points = [Point(1e308, -1e308), Point(0.0, 0.0), Point(1.0, 1.0),
+              Point(2.0, 2.0), Point(3.0, 3.0)]
+    family = normalize_orientations([(1, 0), (4, 3)])
+    candidate = Point(1e9, 0.0)
+    rejected = Verdict(False, Orientation(1, 0), 4)
+    assert verify_strong_centerpoint(points, family, candidate) == rejected
+    point_file = PointFile.from_points(points)
+    assert verify_strong_centerpoint(point_file, family, candidate) == rejected
+    with _raises_overflow(Orientation(4, 3)):
+        max_avoiding_count(point_file, family, candidate)
+    assert verify_strong_centerpoint(point_file, family, candidate) == rejected
+    assert len(point_file.projectors) == 1
+
+
+@pytest.fixture
+def built_projections(monkeypatch):
+    """One entry per projection built by any ``along`` of ``_projection``."""
+    built = []
+    original = polytope._projection
+
+    def counting_projection(columns, family):
+        along = original(columns, family)
+
+        def counting_along(index):
+            built.append(index)
+            return along(index)
+
+        return counting_along
+
+    monkeypatch.setattr(polytope, "_projection", counting_projection)
+    return built
+
+
+def test_point_file_builds_each_projection_once(built_projections):
+    points = _seeded_points("float", 3)
+    family = homothet_family(_RING8)
+    for intake, builds in ((PointFile.from_points(points), 1), (points, 2)):
+        built_projections.clear()
+        cert = compute_strong_centerpoint(intake, family)
+        assert verify_strong_centerpoint(intake, family, cert.point)
+        assert built_projections == list(range(family.k)) * builds
 
 
 def _transient_bytes(call):
