@@ -23,6 +23,8 @@ from .errors import ParseError, check_size_guard
 from .geometry import Point, heavy_threshold_exceeded, selection_rank
 from .pointfile import format_number, point_columns, read_header
 
+_KEYS = 2**63  # a key x * n + y with x < m, y < n fits int64 while m * n <= _KEYS
+
 
 class SetSystem:
     """Ground set 0..n-1 with distinct nonempty subsets and the order k.
@@ -255,49 +257,57 @@ def check_bounded_intersection(
     or equals the intersection of some proper sub-tuple of two or more of
     its sets; a single set is not an escape, so at order 2 any pair
     sharing two elements violates, nested or not. Only sets that share an
-    element pair can violate, so the sets are indexed by the element pairs
-    they hold: the Σ C(|S|, 2) pairs, each id of the ``ids`` column with
-    every later id of its set, tagged with the set index, are sorted once,
-    and each run of equal pairs is a pair group. At order 2 the answer is the
-    smallest first two sets of a pair group. At order k >= 3 a pair group
-    L of at least k sets passes when its sets all meet pairwise in one
-    core, as every k-tuple then meets in a pair's intersection: exactly
-    when each id of its sets lies in all |L| of them or in one, tested by
-    one sort of the (group, id) pairs, Σ_{S in L} |S|. The k-tuples of the
-    failing groups are tested on frozensets, Σ C(|L|, k) * k * n more. All
-    three costs are guarded. The lexicographically first violating tuple
-    is returned; fewer than k sets pass vacuously.
+    element pair can violate, so each id a of the ``ids`` column and every
+    later id b of its set make one int64 key a * n + b, Σ C(|S|, 2) keys
+    (ids are ranked first if objects or if n * n passes int64); after one
+    stable sort each run of equal keys is a pair group, in set order. At
+    order 2 the answer is the smallest first two sets of a pair group. At
+    order k >= 3 a pair group L of at least k sets passes when its sets
+    all meet pairwise in one core, as every k-tuple then meets in a pair's
+    intersection: exactly when each id of its sets lies in all |L| of them
+    or in one, tested by one sort of the keys group * n + id,
+    Σ_{S in L} |S|. The k-tuples of the failing groups are tested on
+    frozensets, Σ C(|L|, k) * k * n more. All three costs are guarded. The
+    lexicographically first violating tuple is returned; fewer than k sets
+    pass vacuously.
     """
-    k, ids, indptr = system.k, system.ids, system.indptr
+    k, n, ids, indptr = system.k, system.n, system.ids, system.indptr
     if len(indptr) - 1 < k:
         return None
     sizes = np.diff(indptr)
     pairs = sizes * (sizes - 1) // 2
     insertions = int(pairs.sum())
     check_size_guard(insertions, budget)
+    if ids.dtype == object or n * n > _KEYS:  # ranks keep equality and order
+        uniques, ids = np.unique(ids, return_inverse=True)
+        n = len(uniques)
     count, after = _past(np.arange(len(ids)), np.repeat(indptr[1:], sizes))
-    a, b = np.repeat(ids, count), ids[after]
-    owner = np.repeat(np.arange(len(sizes)), pairs)
-    # no a * n + b or group * n + id key: int64 overflows, ids may be objects
-    order = np.lexsort((owner, b, a))
-    a, b, owner = a[order], b[order], owner[order]
-    starts, lengths = _runs(a, b)
+    key = np.repeat(ids * n, count)
+    key += ids[after]
+    order = np.argsort(key, kind="stable")  # equal keys stay in set order
+    starts, lengths = _runs(key[order])
+    owner = functools.partial(np.searchsorted, np.cumsum(pairs), side="right")
     if k == 2:
         shared = starts[lengths > 1]
-        return min(zip(owner[shared].tolist(), owner[shared + 1].tolist()),
-                   default=None)
+        return min(zip(owner(order[shared]).tolist(),
+                       owner(order[shared + 1]).tolist()), default=None)
     crowded = lengths >= k
-    listed = owner[np.repeat(crowded, lengths)]
-    del after, a, b, owner, order  # lowers the peak
+    listed = owner(order[np.repeat(crowded, lengths)])
+    del count, after, key, order  # lowers the peak
     span, held = lengths[crowded], sizes[listed]
     cost = insertions + int(held.sum())
     check_size_guard(cost, budget)
-    tags = np.arange(len(span), dtype=np.min_scalar_type(len(span)))  # lowers the peak
-    group = np.repeat(np.repeat(tags, span), held)
     member = ids[_past(indptr[listed] - 1, indptr[listed + 1])[1]]
-    member = member[np.lexsort((member, group))]  # group ascends: no reorder
-    starts, runs = _runs(group, member)
-    group = group[starts]
+    group = np.repeat(np.repeat(np.arange(len(span)), span), held)
+    if len(span) * n <= _KEYS:  # group ascends: one key, sorted in place
+        group = np.add(np.multiply(group, n, out=group), member, out=member)
+        group.sort()
+        starts, runs = _runs(group)
+        group = group[starts] // n
+    else:
+        member = member[np.lexsort((member, group))]
+        starts, runs = _runs(group, member)
+        group = group[starts]
     failing = np.unique(group[(runs != 1) & (runs != span[group])])
     ends = np.cumsum(span)[failing].tolist()
     groups = [listed[e - w : e].tolist() for e, w in zip(ends, span[failing].tolist())]

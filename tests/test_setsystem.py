@@ -27,6 +27,7 @@ from strongcenter import (
     restrict,
     strong_centerpoint,
 )
+from strongcenter import setsystem
 from strongcenter.cli import main
 
 THREE_LINES = SetSystem(3, ((0, 1), (1, 2), (0, 2)), 2)
@@ -496,6 +497,25 @@ def test_checker_size_guard():
             check_bounded_intersection(mixed, budget=budget)
 
 
+@pytest.mark.parametrize("n, shift", [(BIG, 2**64), (2**40, 2**39)])
+def test_checker_guard_texts_keep_the_ground_size(monkeypatch, n, shift):
+    # the sizes 2, 3, 1, 5, 4 system of test_checker_size_guard with ids
+    # moved up by shift: object ids, and int64 ids past the packing bound,
+    # are ranked, but the triple estimate C(4, 3) * 3 * n keeps n
+    monkeypatch.delenv("SC_SIZE_GUARD", raising=False)
+    sets = ((0, 1), (0, 1, 2), (5,), (0, 1, 2, 3, 4), (0, 1, 5, 6))
+    system = SetSystem(n, tuple(tuple(e + shift for e in s) for s in sets), 3)
+    last = 34 + 4 * 3 * n
+    assert check_bounded_intersection(system, budget=last) is None
+    for cost in (20, 34, last):
+        with pytest.raises(SizeGuardError) as raised:
+            check_bounded_intersection(system, budget=cost - 1)
+        assert str(raised.value) == (
+            f"estimated cost {cost} exceeds budget {cost - 1}; "
+            "set SC_SIZE_GUARD to raise the limit"
+        )
+
+
 def test_checker_passes_grid_plane_system_under_default_budget():
     # the planes through two points all hold the line through them and
     # meet pairwise in its points, so no triple of this system is tested
@@ -644,10 +664,33 @@ def small_set_systems(draw):
 @example(SetSystem(6, ((0,), (1,), (5,)), 3))
 @example(SetSystem(BIG, ((2**63,), (2**63 + 1,), (2**63 + 5,)), 2))
 @example(SetSystem(BIG, ((2**63,), (2**63 + 1,), (2**63 + 5,)), 3))
+# ids ranked before packing: the keys 5 * n + 2**39 and (5 + 2**24) * n +
+# 2**39 of these two pairs are equal in int64 at n = 2**40
+@example(SetSystem(2**40, ((5, 2**39), (5 + 2**24, 2**39)), 2))
+# both sides of the int64 packing bound n * n <= 2**63, with ids at the top
+# of the ground set: two sets sharing a pair, and three meeting in one core
+@example(SetSystem(3_037_000_499, ((0, 3_037_000_497, 3_037_000_498),
+                                   (1, 3_037_000_497, 3_037_000_498)), 2))
+@example(SetSystem(3_037_000_499, ((0, 3_037_000_497, 3_037_000_498),
+                                   (1, 3_037_000_497, 3_037_000_498),
+                                   (2, 3_037_000_497, 3_037_000_498)), 3))
+@example(SetSystem(3_037_000_500, ((0, 3_037_000_498, 3_037_000_499),
+                                   (1, 3_037_000_498, 3_037_000_499)), 2))
+@example(SetSystem(3_037_000_500, ((0, 3_037_000_498, 3_037_000_499),
+                                   (1, 3_037_000_498, 3_037_000_499),
+                                   (2, 3_037_000_498, 3_037_000_499)), 3))
 def test_checker_matches_combinations_scan(system):
     expected = scan_bounded_intersection(system)
     budget = 2**80 if system.n > 2**62 else None
     assert check_bounded_intersection(system, budget) == expected
+
+
+def test_checker_lexsort_fallback_matches_scan(monkeypatch):
+    # with the packing bound at 0 every id column is ranked and the crowded
+    # groups of every example, orders 3 and 4 included, take the
+    # np.lexsort((member, group)) fallback
+    monkeypatch.setattr(setsystem, "_KEYS", 0)
+    test_checker_matches_combinations_scan()
 
 
 @given(small_set_systems())
