@@ -3,9 +3,9 @@
 A system of order k promises that any k of its sets meet in at most one
 element unless that intersection already equals the intersection of fewer
 of them. A system stores its sets once, as CSR columns. The solver, which
-builds no restricted system, the check and the text writer read them; the
-brute-force oracle reads the set tuples cut from them, intersects heavy
-sets with no restriction and stays the independent route for tests.
+builds no restricted system, the check, the text writer and the
+brute-force oracle read them; the oracle intersects the heavy sets as
+frozensets with no restriction and stays the independent route for tests.
 """
 
 from __future__ import annotations
@@ -207,15 +207,20 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     """All elements contained in every heavy set, ascending; [] means none.
 
     With no heavy set every element qualifies. Independent of the solver
-    by construction: heaviness depends only on |S|, so it is tested once
-    per distinct set size, then the heavy sets' tuples are intersected as
-    frozensets, with no restriction.
+    by construction: heaviness depends only on |S|, so it is tested by
+    cross-multiplication once per set size present, into a table indexed
+    by size (never by n). The heavy sets are cut from the CSR columns and
+    intersected as frozensets, with no restriction; ``sets`` is not read.
     """
-    check_size_guard(system.n * max(1, len(system.indptr) - 1))
-    heavy_sizes = {size for size in set(map(len, system.sets))
-                   if heavy_threshold_exceeded(size, system.n, system.k)}
-    heavy = [frozenset(s) for s in system.sets if len(s) in heavy_sizes]
-    return sorted(frozenset.intersection(*heavy)) if heavy else list(range(system.n))
+    n, ids, indptr = system.n, system.ids, system.indptr
+    check_size_guard(n * max(1, len(indptr) - 1))
+    sizes = np.diff(indptr)
+    table = np.bincount(sizes).astype(bool)  # the sizes present, then the heavy
+    for size in np.flatnonzero(table).tolist():
+        table[size] = heavy_threshold_exceeded(size, n, system.k)
+    heavy = [frozenset(ids[indptr[i] : indptr[i + 1]].tolist())
+             for i in np.flatnonzero(table[sizes]).tolist()]
+    return sorted(frozenset.intersection(*heavy)) if heavy else list(range(n))
 
 
 def _violates(members, combo) -> bool:
@@ -286,14 +291,15 @@ def check_bounded_intersection(
     key += ids[after]
     order = np.argsort(key, kind="stable")  # equal keys stay in set order
     starts, lengths = _runs(key[order])
-    owner = functools.partial(np.searchsorted, np.cumsum(pairs), side="right")
+    sets = len(sizes)  # each pair's set, in the smallest dtype holding them
+    owner = np.repeat(np.arange(sets, dtype=np.min_scalar_type(sets)), pairs)
     if k == 2:
         shared = starts[lengths > 1]
-        return min(zip(owner(order[shared]).tolist(),
-                       owner(order[shared + 1]).tolist()), default=None)
+        return min(zip(owner[order[shared]].tolist(),
+                       owner[order[shared + 1]].tolist()), default=None)
     crowded = lengths >= k
-    listed = owner(order[np.repeat(crowded, lengths)])
-    del count, after, key, order  # lowers the peak
+    listed = owner[order[np.repeat(crowded, lengths)]]
+    del count, after, key, order, owner  # lowers the peak
     span, held = lengths[crowded], sizes[listed]
     cost = insertions + int(held.sum())
     check_size_guard(cost, budget)

@@ -29,6 +29,7 @@ from strongcenter import (
 )
 from strongcenter import setsystem
 from strongcenter.cli import main
+from strongcenter.errors import check_size_guard
 
 THREE_LINES = SetSystem(3, ((0, 1), (1, 2), (0, 2)), 2)
 
@@ -424,6 +425,68 @@ def test_refused_oracle_cuts_no_set_tuples(monkeypatch):
     with pytest.raises(SizeGuardError):
         brute_force_strong_centerpoints(system)
     assert "sets" not in vars(system)
+    # answered calls read the columns too, with heavy sets and without
+    monkeypatch.delenv("SC_SIZE_GUARD")
+    heavy = parse_set_system("6 2\n0 1 2 3\n0 1 2 4 5\n3 4\n")
+    assert brute_force_strong_centerpoints(heavy) == [0, 1, 2]
+    assert "sets" not in vars(heavy)
+    light = parse_set_system("6 2\n0 1\n2 3 4\n")
+    assert brute_force_strong_centerpoints(light) == [0, 1, 2, 3, 4, 5]
+    assert "sets" not in vars(light)
+
+
+def tuple_oracle(system):
+    """The oracle as it read the set tuples, kept as the reference."""
+    check_size_guard(system.n * max(1, len(system.indptr) - 1))
+    heavy_sizes = {size for size in set(map(len, system.sets))
+                   if heavy_threshold_exceeded(size, system.n, system.k)}
+    heavy = [frozenset(s) for s in system.sets if len(s) in heavy_sizes]
+    return sorted(frozenset.intersection(*heavy)) if heavy else list(range(system.n))
+
+
+Ids = enum.IntEnum("Ids", {f"E{i}": i for i in range(9)})
+
+
+@st.composite
+def oracle_systems(draw):
+    """A small system with int64 ids, with ids shifted past 2**64, or with
+    some ids replaced by equal ``IntEnum`` members (object columns)."""
+    system = draw(small_set_systems())
+    kind = draw(st.sampled_from(["int64", "past 2**64", "IntEnum"]))
+    if kind == "past 2**64":
+        shifted = [tuple(2**64 + e for e in s) for s in system.sets]
+        return SetSystem(2**64 + system.n, shifted, system.k)
+    if kind == "IntEnum":
+        swap = draw(st.lists(st.booleans(), min_size=len(system.ids),
+                             max_size=len(system.ids)))
+        ids = iter([Ids(e) if w else e for e, w in zip(system.ids.tolist(), swap)])
+        return SetSystem(system.n, [[next(ids) for _ in s] for s in system.sets],
+                         system.k)
+    return system
+
+
+def oracle_outcome(oracle, system):
+    """The answer with each element's type, or the refusal's type and text."""
+    try:
+        answer = oracle(system)
+    except SizeGuardError as exc:
+        return type(exc), str(exc)
+    return answer, [type(e) for e in answer]
+
+
+@settings(max_examples=300)
+@given(oracle_systems())
+@example(SetSystem(4, (), 2))  # no sets: every element qualifies
+# 3 does not divide 7: sizes 5 and 6 are heavy (3 * 5 > 2 * 7), 4 is not
+@example(SetSystem(7, ((0, 1, 2, 3, 4), (0, 1, 2, 3), (1, 2, 3, 4, 5, 6),
+                       (2, 3, 4, 5)), 3))
+@example(SetSystem(7, ((0, Ids.E1, 2, 3, 4), (0, 1, 2, 3),
+                       (Ids.E1, 2, Ids.E3, 4, 5, 6), (2, 3, 4, 5)), 3))
+def test_oracle_matches_the_tuple_oracle(system):
+    # past 2**64 no set can be heavy and the answer would be every id, so
+    # both refuse it under the default guard with the same text
+    outcome = oracle_outcome(brute_force_strong_centerpoints, system)
+    assert outcome == oracle_outcome(tuple_oracle, system)
 
 
 # ---------------------------------------------------------------- checker
