@@ -24,6 +24,7 @@ from .geometry import Point, heavy_threshold_exceeded, selection_rank
 from .pointfile import format_number, point_columns, read_header
 
 _KEYS = 2**63  # a key x * n + y with x < m, y < n fits int64 while m * n <= _KEYS
+_RUN = 2**20  # the ids the check gathers at once from its crowded pair groups
 
 
 class SetSystem:
@@ -211,15 +212,17 @@ def brute_force_strong_centerpoints(system: SetSystem) -> list[int]:
     cross-multiplication once per set size present, into a table indexed
     by size (never by n). The heavy sets are cut from the CSR columns and
     intersected as frozensets, with no restriction; ``sets`` is not read.
+    The guard prices that: m sets, plus Σ|S| of the heavy or else n ids.
     """
     n, ids, indptr = system.n, system.ids, system.indptr
-    check_size_guard(n * max(1, len(indptr) - 1))
     sizes = np.diff(indptr)
     table = np.bincount(sizes).astype(bool)  # the sizes present, then the heavy
     for size in np.flatnonzero(table).tolist():
         table[size] = heavy_threshold_exceeded(size, n, system.k)
+    chosen = np.flatnonzero(table[sizes])
+    check_size_guard(len(sizes) + (int(sizes[chosen].sum()) if len(chosen) else n))
     heavy = [frozenset(ids[indptr[i] : indptr[i + 1]].tolist())
-             for i in np.flatnonzero(table[sizes]).tolist()]
+             for i in chosen.tolist()]
     return sorted(frozenset.intersection(*heavy)) if heavy else list(range(n))
 
 
@@ -270,11 +273,12 @@ def check_bounded_intersection(
     order k >= 3 a pair group L of at least k sets passes when its sets
     all meet pairwise in one core, as every k-tuple then meets in a pair's
     intersection: exactly when each id of its sets lies in all |L| of them
-    or in one, tested by one sort of the keys group * n + id,
-    Σ_{S in L} |S|. The k-tuples of the failing groups are tested on
-    frozensets, Σ C(|L|, k) * k * n more. All three costs are guarded. The
-    lexicographically first violating tuple is returned; fewer than k sets
-    pass vacuously.
+    or in one. Runs of whole groups, about _RUN ids each (a larger group
+    alone), are each tested by one sort of the keys local group * n + id,
+    Σ_{S in L} |S| in all. The k-tuples of the failing groups are tested
+    on frozensets, Σ C(|L|, k) * k * n more. All three costs are guarded.
+    The lexicographically first violating tuple is returned; fewer than k
+    sets pass vacuously.
     """
     k, n, ids, indptr = system.k, system.n, system.ids, system.indptr
     if len(indptr) - 1 < k:
@@ -303,20 +307,25 @@ def check_bounded_intersection(
     span, held = lengths[crowded], sizes[listed]
     cost = insertions + int(held.sum())
     check_size_guard(cost, budget)
-    member = ids[_past(indptr[listed] - 1, indptr[listed + 1])[1]]
-    group = np.repeat(np.repeat(np.arange(len(span)), span), held)
-    if len(span) * n <= _KEYS:  # group ascends: one key, sorted in place
-        group = np.add(np.multiply(group, n, out=group), member, out=member)
-        group.sort()
-        starts, runs = _runs(group)
-        group = group[starts] // n
-    else:
-        member = member[np.lexsort((member, group))]
-        starts, runs = _runs(group, member)
-        group = group[starts]
-    failing = np.unique(group[(runs != 1) & (runs != span[group])])
-    ends = np.cumsum(span)[failing].tolist()
-    groups = [listed[e - w : e].tolist() for e, w in zip(ends, span[failing].tolist())]
+    bounds = np.append(0, np.cumsum(span))  # each group's start in listed
+    reach = np.append(0, np.cumsum(held))[bounds]  # and among its sets' ids
+    bad, first = np.zeros(len(span), bool), 0
+    while first < len(span):  # a run of whole groups: about _RUN ids, keys < _KEYS
+        last = int(np.searchsorted(reach, reach[first] + _RUN, "right")) - 1
+        last = min(max(first + 1, last), first + max(1, _KEYS // n))
+        chosen = listed[bounds[first] : bounds[last]]
+        key = ids[_past(indptr[chosen] - 1, indptr[chosen + 1])[1]]
+        group = np.repeat(np.repeat(np.arange(last - first), span[first:last]),
+                          sizes[chosen])
+        key += np.multiply(group, n, out=group)  # local group * n + id
+        key.sort()
+        starts, runs = _runs(key)
+        group = first + key[starts] // n
+        bad[group[(runs != 1) & (runs != span[group])]] = True
+        first = last
+    failing = np.flatnonzero(bad)
+    groups = [listed[a:b].tolist() for a, b in
+              zip(bounds[failing].tolist(), bounds[failing + 1].tolist())]
     tuples = sum(math.comb(len(g), k) for g in groups)
     check_size_guard(cost + tuples * k * system.n, budget)
     members = {s: frozenset(ids[indptr[s] : indptr[s + 1]].tolist())

@@ -408,7 +408,7 @@ def test_oracle_examples():
 
 
 def test_oracle_size_guard(monkeypatch):
-    # guard is on the n * |sets| scan cost
+    # with no heavy set the guard is on the m sets plus the n listed ids
     system = SetSystem(21_000_000, ((0, 1),), 2)
     with pytest.raises(SizeGuardError):
         brute_force_strong_centerpoints(system)
@@ -435,12 +435,25 @@ def test_refused_oracle_cuts_no_set_tuples(monkeypatch):
     assert "sets" not in vars(light)
 
 
+def test_oracle_guard_prices_the_heavy_sets(monkeypatch):
+    # one heavy set of 30 ids among 3 sets costs 3 + 30 = 33, where the
+    # n * m = 150 of the old tuple scan would refuse under a budget of 100
+    system = SetSystem(50, (tuple(range(30)), (30, 31), (32, 33)), 2)
+    monkeypatch.setenv("SC_SIZE_GUARD", "100")
+    assert brute_force_strong_centerpoints(system) == list(range(30))
+    monkeypatch.setenv("SC_SIZE_GUARD", "32")
+    with pytest.raises(SizeGuardError, match="estimated cost 33 "):
+        brute_force_strong_centerpoints(system)
+
+
 def tuple_oracle(system):
-    """The oracle as it read the set tuples, kept as the reference."""
-    check_size_guard(system.n * max(1, len(system.indptr) - 1))
+    """The oracle as it read the set tuples, kept as the reference. It
+    guards the same estimate: m sets, plus Σ|S| of the heavy or else n."""
     heavy_sizes = {size for size in set(map(len, system.sets))
                    if heavy_threshold_exceeded(size, system.n, system.k)}
     heavy = [frozenset(s) for s in system.sets if len(s) in heavy_sizes]
+    check_size_guard(len(system.sets)
+                     + (sum(map(len, heavy)) if heavy else system.n))
     return sorted(frozenset.intersection(*heavy)) if heavy else list(range(system.n))
 
 
@@ -748,11 +761,18 @@ def test_checker_matches_combinations_scan(system):
     assert check_bounded_intersection(system, budget) == expected
 
 
-def test_checker_lexsort_fallback_matches_scan(monkeypatch):
-    # with the packing bound at 0 every id column is ranked and the crowded
-    # groups of every example, orders 3 and 4 included, take the
-    # np.lexsort((member, group)) fallback
+def test_checker_ranked_one_group_runs_match_scan(monkeypatch):
+    # with the packing bound at 0 every id column is ranked and every run
+    # of crowded groups, orders 3 and 4 included, holds a single group
     monkeypatch.setattr(setsystem, "_KEYS", 0)
+    test_checker_matches_combinations_scan()
+
+
+@pytest.mark.parametrize("run", [1, 7])
+def test_checker_short_runs_match_scan(monkeypatch, run):
+    # runs of 1 or 7 ids: a group whose ids pass a run's cut starts the next
+    # run, and a group of more ids than a run is a run of its own
+    monkeypatch.setattr(setsystem, "_RUN", run)
     test_checker_matches_combinations_scan()
 
 
