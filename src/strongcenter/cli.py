@@ -48,15 +48,18 @@ _ORACLE_CAP = 200
 _MEMBER_LIST_CAP = 64
 
 
-def _read_bytes(path: str) -> bytes:
+def _read(path: str) -> tuple:
+    """``(text, digest)``: the file's bytes decoded as UTF-8, and their
+    SHA-256 for the report."""
     with open(path, "rb") as handle:
-        return handle.read()
+        data = handle.read()
+    return data.decode("utf-8"), input_digest(data)
 
 
 def _load_family(spec: str, dim: int):
     if spec.startswith("custom:"):
         path = spec[len("custom:") :]
-        normals = parse_point_file(_read_bytes(path).decode("utf-8"))
+        normals = parse_point_file(_read(path)[0])
         if normals.dim != dim:
             raise DimensionMismatchError(
                 f"normals of dimension {normals.dim} for points of "
@@ -74,10 +77,10 @@ def _vector_text(values) -> str:
 def _read_points(args):
     """Parse the point file and load the family; returns them with a
     report holding the family, d, n and k lines."""
-    data = _read_bytes(args.points_file)
-    point_file = parse_point_file(data.decode("utf-8"))
+    text, digest = _read(args.points_file)
+    point_file = parse_point_file(text)
     family = _load_family(args.family, point_file.dim)
-    report = Report(args.command, input_digest(data))
+    report = Report(args.command, digest)
     report.add("family", args.family)
     report.add("d", point_file.dim)
     report.add("n", len(point_file.columns[0]))
@@ -132,9 +135,9 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_abstract(args) -> tuple:
-    data = _read_bytes(args.system_file)
-    system = parse_set_system(data.decode("utf-8"))
-    report = Report("abstract", input_digest(data))
+    text, digest = _read(args.system_file)
+    system = parse_set_system(text)
+    report = Report("abstract", digest)
     report.add("n", system.n)
     report.add("k", system.k)
     report.add("sets", len(system.indptr) - 1)
@@ -183,8 +186,7 @@ def _cmd_abstract(args) -> tuple:
 
 
 def _cmd_plot(args) -> tuple:
-    data = _read_bytes(args.points_file)
-    point_file = parse_point_file(data.decode("utf-8"))
+    point_file = parse_point_file(_read(args.points_file)[0])
     if point_file.dim != 2:
         raise DimensionMismatchError("plotting requires dimension 2")
     family = _load_family(args.family, point_file.dim)
@@ -207,10 +209,8 @@ def _cmd_generate(args) -> tuple:
         points = instance.points
     elif args.what == "convex-position":
         points = convex_position_instance(args.n)
-    elif args.what == "degenerate":
+    else:  # "degenerate": argparse admits only these four
         points = degenerate_instance(args.kind).points
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {args.what!r}")
     text = format_points(points)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -107,63 +107,62 @@ def format_number(value) -> str:
 
 
 def read_header(text: str, kind: str, names: str) -> tuple:
-    """``(lines, a, b)``: the lines of ``text`` up to its last non-blank
-    one, and the two ints ``names`` of its header line. ``kind`` names
-    the file when it holds no such line."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    """``(rows, a, b)``: the lines of ``text`` after its header line, up
+    to its last non-blank one, and the two ints ``names`` of the header.
+    ``kind`` names the file when it holds no header line."""
+    rows = text.splitlines()
+    while rows and not rows[-1].strip():
+        rows.pop()
+    if not rows:
         raise ParseError(f"empty {kind}")
-    head = lines[0].split()
+    head = rows.pop(0).split()
     if len(head) != 2:
         raise ParseError(f"header must be '{names}'")
     try:
-        return lines, int(head[0]), int(head[1])
+        return rows, int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("header must hold two integers") from None
 
 
 def parse_point_file(text: str) -> PointFile:
-    lines, dim, n = read_header(text, "point file", "d n")
+    rows, dim, n = read_header(text, "point file", "d n")
     if dim < 1:
         raise ParseError("dimension must be positive")
     if n < 1:
         raise ParseError("point count must be positive")
-    if len(lines) - 1 != n:
+    if len(rows) != n:
         raise ParseError(
-            f"header promises {n} points, file has {len(lines) - 1} rows"
+            f"header promises {n} points, file has {len(rows)} rows"
         )
-    body = lines[1:]
-    columns = _int64_columns(text, body, dim)
+    columns = _int64_columns(text, rows, dim)
     if columns is None:
-        columns = _parsed_columns(body, dim)
-    return PointFile(dim, columns, tuple(map(str.strip, body)))
+        columns = _parsed_columns(rows, dim)
+    return PointFile(dim, columns, tuple(map(str.strip, rows)))
 
 
-def _int64_columns(text: str, body: list, dim: int):
+def _int64_columns(text: str, rows: list, dim: int):
     """int64 columns from numpy's C text reader, or None unless every token
     is made of the characters 0-9+- and every row is well formed and fits.
     The reader skips blank rows, so its result counts only when it holds
-    ``dim`` values for each body line."""
+    ``dim`` values for each row."""
     if not text.isascii() or text.encode("ascii").translate(
         None, _PLAIN_INT_BYTES
     ):
         return None
     try:
-        flat = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        flat = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
     except (OverflowError, ValueError):
         return None
-    if flat.shape != (len(body), dim):
+    if flat.shape != (len(rows), dim):
         return None
     return tuple(flat.T.copy())
 
 
-def _parsed_columns(body: list, dim: int) -> tuple:
+def _parsed_columns(rows: list, dim: int) -> tuple:
     """Columns of Python numbers, token by token; raises on the first
     malformed row or token."""
     values = []
-    for line_no, line in enumerate(body, start=2):
+    for line_no, line in enumerate(rows, start=2):
         parts = line.split()
         if len(parts) != dim:
             raise ParseError(

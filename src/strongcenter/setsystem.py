@@ -30,8 +30,7 @@ _RUN = 2**20  # the ids the check gathers at once from its crowded pair groups
 class SetSystem:
     """Ground set 0..n-1 with distinct nonempty subsets and the order k.
 
-    Sets are tuples of strictly ascending element ids. Use
-    :meth:`from_sets` to canonicalize arbitrary iterables. The system
+    Sets are tuples of strictly ascending element ids. The system
     stores only two CSR columns: ``ids``, int64 when every id is a plain
     int that fits, else an object array, and ``indptr``; set i is
     ``ids[indptr[i]:indptr[i + 1]]``. ``sets`` is cut from them on first
@@ -112,14 +111,6 @@ class SetSystem:
     def __repr__(self) -> str:
         return f"SetSystem(n={self.n!r}, sets={self.sets!r}, k={self.k!r})"
 
-    @classmethod
-    def from_sets(cls, n: int, sets, k: int) -> "SetSystem":
-        """Build a system from arbitrary iterables: members are sorted and
-        deduplicated, empty sets and repeated sets are dropped."""
-        canonical = dict.fromkeys(tuple(sorted(set(s))) for s in sets)
-        canonical.pop((), None)
-        return cls(n, tuple(canonical), k)
-
 
 @dataclass(frozen=True)
 class AbstractResult:
@@ -157,8 +148,10 @@ def restrict(system: SetSystem, set_index: int) -> tuple[SetSystem, tuple]:
         raise ValueError("cannot lower the order below 2")
     base = system.sets[set_index]
     forward = {element: i for i, element in enumerate(base)}
-    restricted = ((forward[e] for e in s if e in forward) for s in system.sets)
-    return SetSystem.from_sets(len(base), restricted, system.k - 1), base
+    restricted = dict.fromkeys(tuple(forward[e] for e in s if e in forward)
+                               for s in system.sets)  # ascending, distinct
+    restricted.pop((), None)
+    return SetSystem(len(base), tuple(restricted), system.k - 1), base
 
 
 def _shared(ids, sizes, chosen) -> np.ndarray:
@@ -294,6 +287,7 @@ def check_bounded_intersection(
     key = np.repeat(ids * n, count)
     key += ids[after]
     order = np.argsort(key, kind="stable")  # equal keys stay in set order
+    del count, after  # lowers the peak
     starts, lengths = _runs(key[order])
     sets = len(sizes)  # each pair's set, in the smallest dtype holding them
     owner = np.repeat(np.arange(sets, dtype=np.min_scalar_type(sets)), pairs)
@@ -303,7 +297,7 @@ def check_bounded_intersection(
                        owner[order[shared + 1]].tolist()), default=None)
     crowded = lengths >= k
     listed = owner[order[np.repeat(crowded, lengths)]]
-    del count, after, key, order, owner  # lowers the peak
+    del key, order, owner  # lowers the peak
     span, held = lengths[crowded], sizes[listed]
     cost = insertions + int(held.sum())
     check_size_guard(cost, budget)
@@ -415,9 +409,9 @@ def format_set_system(system: SetSystem) -> str:
 def parse_set_system(text: str) -> SetSystem:
     """Parse the text form of a set system; inverse of
     :func:`format_set_system` on canonical input."""
-    lines, n, k = read_header(text, "set-system file", "n k")
+    rows, n, k = read_header(text, "set-system file", "n k")
     ids, sizes = [], [0]
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(rows, start=2):
         parts = line.split()
         if not parts:
             raise ParseError(f"line {line_no}: empty set")

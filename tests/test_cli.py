@@ -544,6 +544,29 @@ def test_cli_missing_file_exits_2(capsys):
     assert_error_only(out, err)
 
 
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["abstract", "f.txt"], b"3 2\n0 1\n\xff1 2\n"),
+        (["plot", "f.txt", "--family", "axis-box", "--svg", "out.svg"],
+         b"2 2\n0 0\n1 \xff1\n"),
+        (["compute", "p.txt", "--family", "custom:f.txt"],
+         b"2 2\n1 0\n0 1\xff\n"),
+    ],
+    ids=["abstract", "plot", "custom-normals"],
+)
+def test_cli_non_utf8_byte_exits_2(tmp_path, capsys, monkeypatch, argv, data):
+    # f.txt holds one byte that is not UTF-8; p.txt is a valid point file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_bytes(data)
+    (tmp_path / "p.txt").write_text("2 2\n0 0\n1 1\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert_error_only(out, err)
+    assert "can't decode byte 0xff" in err
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_cli_unknown_family_exits_2(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "2 1\n0 0\n")
     code, out, err = run(capsys, "compute", path, "--family", "dodecahedron")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from strongcenter import ParseError
 from strongcenter.cli import main
-from strongcenter.pointfile import parse_number, parse_point_file
+from strongcenter.pointfile import parse_number, parse_point_file, read_header
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
@@ -105,6 +105,26 @@ def test_columnar_parser_matches_per_token_oracle(case):
         assert isinstance(column, np.ndarray) == plain
         if plain:
             assert column.dtype == np.int64
+
+
+def test_read_header_returns_the_rows_after_the_header():
+    # trailing blank and whitespace-only lines drop; a blank row inside stays
+    text = "2 3\r\n1 2\n\n3\t4 \n \t\n\n"
+    assert read_header(text, "point file", "d n") == (["1 2", "", "3\t4 "], 2, 3)
+    # rows split where str.splitlines splits
+    text = "9 2\r\n0\r1\n2\x0b3\x0c4\x1c5\x856\r\n7"
+    rows = ["0", "1", "2", "3", "4", "5", "6", "7"]
+    assert read_header(text, "set-system file", "n k") == (rows, 9, 2)
+    for text, message in [
+        ("", "empty set-system file"),
+        (" \n\t\r\n\x0c", "empty set-system file"),
+        ("9\n0\n", "header must be 'n k'"),
+        ("9 2 1\n0\n", "header must be 'n k'"),
+        ("9 x\n0\n", "header must hold two integers"),
+    ]:
+        with pytest.raises(ParseError) as raised:
+            read_header(text, "set-system file", "n k")
+        assert str(raised.value) == message
 
 
 def test_blank_middle_row_keeps_the_line_numbered_error():

@@ -211,11 +211,6 @@ def test_int_subclass_members_are_accepted():
     assert strong_centerpoint(deep).element == 1
 
 
-def test_from_sets_canonicalizes():
-    system = SetSystem.from_sets(5, [[2, 0, 2], [], {1, 3}, (0, 2)], 2)
-    assert system.sets == ((0, 2), (1, 3))
-
-
 # ---------------------------------------------------------- order 2 (pairs)
 
 
@@ -380,10 +375,7 @@ def test_solver_matches_oracle_on_random_small_systems():
         for _ in range(rng.randint(0, 5)):
             size = rng.randint(1, n)
             sets.append(tuple(sorted(rng.sample(universe, size))))
-        try:
-            system = SetSystem.from_sets(n, sets, k)
-        except ValueError:
-            continue
+        system = SetSystem(n, tuple(dict.fromkeys(sets)), k)  # sorted, nonempty
         if not system.sets:
             continue
         if check_bounded_intersection(system) is not None:
@@ -661,7 +653,7 @@ def small_set_systems(draw):
         else:
             pool = sorted(ground)
         sets.append(draw(st.frozensets(st.sampled_from(pool), min_size=1)))
-    return SetSystem.from_sets(n, sets, k)
+    return SetSystem(n, tuple(dict.fromkeys(tuple(sorted(s)) for s in sets)), k)
 
 
 @settings(max_examples=300)
@@ -863,7 +855,8 @@ def solver_systems(draw):
             sets.append(set(pool) - draw(missing) or set(pool))
         else:
             sets.append(draw(st.sets(st.sampled_from(pool), min_size=1)))
-    return SetSystem.from_sets(n, sets[draw(st.integers(0, 1)):], k)
+    sets = sets[draw(st.integers(0, 1)):]
+    return SetSystem(n, tuple(dict.fromkeys(tuple(sorted(s)) for s in sets)), k)
 
 
 @settings(max_examples=400)
