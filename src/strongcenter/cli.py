@@ -1,8 +1,9 @@
 """Command-line front end: compute, verify, abstract, plot, generate.
 
 Exit codes: 0 success, 1 negative verdict (verification failure, oracle
-disagreement, or no centerpoint), 2 unreadable or malformed input, 3
-dimension mismatch, 4 bounded-intersection property violation found by
+disagreement, or no centerpoint), 2 unreadable or malformed input, a
+size guard refusing ``abstract --check``, or an invalid ``SC_SIZE_GUARD``,
+3 dimension mismatch, 4 bounded-intersection property violation found by
 ``abstract --check``.
 """
 
@@ -44,7 +45,6 @@ EXIT_INPUT = 2
 EXIT_DIMENSION = 3
 EXIT_PROPERTY = 4
 
-_ORACLE_CAP = 200
 _MEMBER_LIST_CAP = 64
 
 
@@ -169,19 +169,17 @@ def _cmd_abstract(args) -> tuple:
         )
     agree = True
     if args.oracle:
-        if system.n <= _ORACLE_CAP:
+        try:
             oracle = brute_force_strong_centerpoints(system)
-            if result.found:
-                agree = result.element in oracle
-            else:
-                agree = not oracle
+        except SizeGuardError as exc:
+            report.add("oracle", f"skipped ({exc})")
+        else:
+            agree = result.element in oracle if result.found else not oracle
             report.add("oracle", "agree" if agree else "disagree")
             if oracle and len(oracle) <= _MEMBER_LIST_CAP:
                 report.add(
                     "oracle-elements", " ".join(str(e) for e in oracle)
                 )
-        else:
-            report.add("oracle", f"skipped (n > {_ORACLE_CAP})")
     return (EXIT_OK if result.found and agree else EXIT_NEGATIVE), report
 
 
@@ -267,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_abstract.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against the brute-force oracle (n <= 200)",
+        help="cross-check against the brute-force oracle; when its size "
+        "guard refuses, the report says skipped and why",
     )
     p_abstract.set_defaults(func=_cmd_abstract)
 

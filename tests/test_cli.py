@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from strongcenter import (
+    AbstractResult,
     CenterpointCertificate,
     Halfspace,
     Orientation,
@@ -409,11 +410,60 @@ def test_cli_abstract_oracle_agreement(tmp_path, capsys):
     assert "chose-set: 0" in out
 
 
-def test_cli_abstract_oracle_skip_gives_its_reason(tmp_path, capsys):
+def refusal(cost, budget):
+    """The text of a SizeGuardError."""
+    return (
+        f"estimated cost {cost} exceeds budget {budget}; "
+        "set SC_SIZE_GUARD to raise the limit"
+    )
+
+
+def test_cli_abstract_oracle_skip_gives_its_reason(
+    tmp_path, capsys, monkeypatch
+):
+    # the oracle's guard alone decides whether it runs, and a refusal is
+    # a report line, not an error exit
     path = write(tmp_path, "s.txt", "201 2\n0 1\n")
-    code, out, _ = run(capsys, "abstract", path, "--oracle")
-    assert code == 0
-    assert "oracle: skipped (n > 200)\n" in out
+    code, ran, err = run(capsys, "abstract", path, "--oracle")
+    assert (code, err) == (0, "")
+    assert "oracle: agree\n" in ran
+    monkeypatch.setenv("SC_SIZE_GUARD", "100")
+    code, out, err = run(capsys, "abstract", path, "--oracle")
+    assert (code, err) == (0, "")
+    skip = f"oracle: skipped ({refusal(202, 100)})\n"
+    assert out.endswith(skip + out.splitlines(True)[-1])
+    assert out.split(skip)[0] == ran.split("oracle: agree\n")[0]
+
+
+def test_cli_abstract_refused_oracle_keeps_the_solver_exit(
+    tmp_path, capsys, monkeypatch
+):
+    path = write(tmp_path, "s.txt", "3 2\n0 1\n1 2\n0 2\n")
+    monkeypatch.setenv("SC_SIZE_GUARD", "2")
+    code, out, err = run(capsys, "abstract", path, "--oracle")
+    assert (code, err) == (1, "")
+    assert "\noutcome: no-centerpoint\n" in out
+    assert f"\noracle: skipped ({refusal(9, 2)})\n" in out
+
+
+def test_cli_abstract_refused_check_still_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    path = write(tmp_path, "s.txt", "5 2\n0 1 2\n2 3 4\n")
+    monkeypatch.setenv("SC_SIZE_GUARD", "1")
+    code, out, err = run(capsys, "abstract", path, "--check", "--oracle")
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal(6, 1)}\n"
+
+
+def test_cli_abstract_oracle_disagreement(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "s.txt", "5 2\n0 1 2\n2 3 4\n")
+    wrong = AbstractResult(0, None, ((5, None),))  # the oracle holds [2]
+    monkeypatch.setattr(cli, "strong_centerpoint", lambda system: wrong)
+    code, out, err = run(capsys, "abstract", path, "--oracle")
+    assert (code, err) == (1, "")
+    assert "\nelement: 0\n" in out
+    assert "\noracle: disagree\noracle-elements: 2\n" in out
 
 
 @pytest.mark.parametrize(
@@ -815,9 +865,10 @@ def test_cli_generate_degenerate(tmp_path, capsys):
 def test_cli_size_guard_env_override(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "s.txt", "5 2\n0 1 2\n2 3 4\n")
     monkeypatch.setenv("SC_SIZE_GUARD", "3")
-    code, _, err = run(capsys, "abstract", path, "--oracle")
-    assert code == 2
-    assert "SC_SIZE_GUARD" in err
+    code, out, err = run(capsys, "abstract", path, "--oracle")
+    assert (code, err) == (0, "")
+    assert "\nelement: 2\n" in out
+    assert f"\noracle: skipped ({refusal(8, 3)})\n" in out
     monkeypatch.setenv("SC_SIZE_GUARD", "100000000")
     code, out, _ = run(capsys, "abstract", path, "--oracle")
     assert code == 0
