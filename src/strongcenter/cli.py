@@ -108,7 +108,9 @@ def _cmd_compute(args) -> tuple:
     if len(members) <= _MEMBER_LIST_CAP:
         report.add("region-members", " ".join(str(i) for i in members))
     report.add("chosen-index", certificate.chosen_index)
-    report.add("chosen-point", point_file.rows[certificate.chosen_index])
+    report.add(
+        "chosen-point", point_file.rows[certificate.chosen_index].strip()
+    )
     report.add("verdict", "ok" if verdict.ok else "fail")
     return (EXIT_OK if verdict.ok else EXIT_NEGATIVE), report
 
@@ -322,7 +324,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         dimension = isinstance(exc, DimensionMismatchError)
         return EXIT_DIMENSION if dimension else EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

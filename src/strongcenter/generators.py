@@ -15,7 +15,12 @@ from .pointfile import point_columns
 COORD_RANGE = 1000
 _DIRECTION_RANGE = 9
 
-DEGENERATE_KINDS = ("all-coincident", "all-collinear", "with-duplicates")
+_DEGENERATE_LAYOUTS = {
+    "all-coincident": ((0, 0),) * 5,
+    "all-collinear": tuple((i, 0) for i in range(8)),
+    "with-duplicates": ((0, 0), (1, 0), (1, 0), (2, 0), (2, 1), (2, 1)),
+}
+DEGENERATE_KINDS = tuple(_DEGENERATE_LAYOUTS)
 
 
 @dataclass(frozen=True)
@@ -135,23 +140,10 @@ def random_instance(seed: int, n: int, d: int, k: int) -> Instance:
 
 def degenerate_instance(kind: str) -> Instance:
     """Named degenerate layout under the planar axis-box family."""
-    family = axis_box_family(2)
-    if kind == "all-coincident":
-        points = tuple(Point(0, 0) for _ in range(5))
-    elif kind == "all-collinear":
-        points = tuple(Point(i, 0) for i in range(8))
-    elif kind == "with-duplicates":
-        points = (
-            Point(0, 0),
-            Point(1, 0),
-            Point(1, 0),
-            Point(2, 0),
-            Point(2, 1),
-            Point(2, 1),
-        )
-    else:
+    if kind not in DEGENERATE_KINDS:
         raise ValueError(
             f"unknown degenerate kind {kind!r}; choose from "
             f"{DEGENERATE_KINDS}"
         )
-    return Instance(points, family, 0, f"degenerate-{kind}")
+    points = tuple(map(Point, _DEGENERATE_LAYOUTS[kind]))
+    return Instance(points, axis_box_family(2), 0, f"degenerate-{kind}")

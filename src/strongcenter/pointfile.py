@@ -29,7 +29,8 @@ _PLAIN_INT_BYTES = (
 class PointFile:
     """Point set as per-axis coordinate columns, the only stored copy of
     the coordinates, with the row text as typed, or None for a PointFile
-    built from Points. PointFiles compare by identity.
+    built from Points. Each row is kept as ``str.splitlines`` split it,
+    surrounding whitespace included. PointFiles compare by identity.
 
     Each column is an int64 array when every token of the file is a plain
     integer that fits in int64, and otherwise a tuple of the parsed ints and
@@ -137,7 +138,7 @@ def parse_point_file(text: str) -> PointFile:
     columns = _int64_columns(text, rows, dim)
     if columns is None:
         columns = _parsed_columns(rows, dim)
-    return PointFile(dim, columns, tuple(map(str.strip, rows)))
+    return PointFile(dim, columns, tuple(rows))
 
 
 def _int64_columns(text: str, rows: list, dim: int):

@@ -375,6 +375,17 @@ def test_cli_reports_echo_input_text_verbatim(tmp_path, capsys):
     assert "chosen-point: 0.50 0" in out
 
 
+def test_cli_strips_only_the_row_it_echoes(tmp_path, capsys):
+    text = "2 4\n\t 0 0  \n 1 0\n0 1 \n1 1\n"
+    # the parsed rows keep their surrounding whitespace
+    assert parse_point_file(text).rows == ("\t 0 0  ", " 1 0", "0 1 ", "1 1")
+    path = write(tmp_path, "p.txt", text)
+    code, out, _ = run(capsys, "compute", path, "--family", "axis-box")
+    assert code == 0
+    assert "chosen-index: 0\n" in out
+    assert "chosen-point: 0 0\n" in out
+
+
 def test_cli_reports_byte_identical_modulo_timing(tmp_path, capsys):
     path = write(tmp_path, "p.txt", "2 4\n0 0\n1 0\n2 0\n3 0\n")
     _, first, _ = run(capsys, "compute", path, "--family", "axis-box")

@@ -89,7 +89,7 @@ def test_columnar_parser_matches_per_token_oracle(case):
     values = oracle_values(rows)
     dim = len(values[0])
     assert parsed.dim == dim
-    assert parsed.rows == tuple(row.strip() for row in rows)
+    assert parsed.rows == tuple(rows)
     assert len(parsed.columns) == dim
     for j, column in enumerate(parsed.columns):
         got = column.tolist() if isinstance(column, np.ndarray) else column
